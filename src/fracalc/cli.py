@@ -14,8 +14,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 argument/validation errors, 3 failed checks.
 Numbers are printed with 15 significant digits; output is deterministic.
-The environment variable FRACALC_MAX_WORK overrides the default panel
-budget.
+The environment variable FRACALC_MAX_WORK overrides the default work
+budget (quadrature panels, trapezoid nodes); kernel and relax exit 2 when
+a kernel evaluation would exceed it.
 """
 
 from __future__ import annotations
@@ -212,6 +213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_relax(args: argparse.Namespace) -> int:
+    acc = default_accuracy()
     try:
         prob = problem_from_json(args.problem)
     except FileNotFoundError:
@@ -228,7 +230,10 @@ def _cmd_relax(args: argparse.Namespace) -> int:
         u0 = GridFunction(TIME_DOMAIN, np.full(prob.grid_n + 1, c))
     else:
         raise SystemExit(f"u0 must be 'zero' or 'const:<c>', got {args.u0!r}")
-    u, diag = solve_picard(prob, u0)
+    try:
+        u, diag = solve_picard(prob, u0, acc)
+    except RuntimeError as exc:
+        raise SystemExit(f"relax failed: {exc}")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["t", "u"])
@@ -282,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="alpha sweep of L1 convergence distances")
     s.add_argument("--spec", required=True)
     s.add_argument("--alpha-list", required=True, dest="alpha_list")
-    s.add_argument("--norm", default="l1", choices=["l1"])
     s.add_argument("--side", default="left", choices=["left", "right"])
     s.add_argument("--interval", default="0,1")
     s.add_argument("--n", type=int, default=800)

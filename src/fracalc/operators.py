@@ -23,6 +23,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ from .special import (
     e1_cumulative0_array,
     e1_cumulative1_array,
     ek,
+    s_cell_moments,
     s_cumulative,
     s_first_moment,
     volterra_s_array,
@@ -299,67 +301,13 @@ def _s_point_adaptive(f: FunctionSpec, p: OperatorParams,
             head_err + alpha * res.err_estimate)
 
 
-_S_MOMENT_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-_S_FLAT = 40.0  # beyond this the kernel equals 1 to machine precision
-
-
-def _s_cells_quad(lo: np.ndarray, width: float, acc: Accuracy,
-                  sub: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = lo[:, None] + width * np.linspace(0.0, 1.0, sub + 1)[None, :]
-    half = 0.5 * width / sub
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    nodes = mid[:, :, None] + half * _GL16_NODES[None, None, :]
-    sv = volterra_s_array(nodes.reshape(-1), acc).reshape(nodes.shape)
-    m0 = half * np.sum(sv @ _GL16_WEIGHTS, axis=1)
-    m1 = half * np.sum((sv * nodes) @ _GL16_WEIGHTS, axis=1)
-    return m0, m1
-
-
+@lru_cache(maxsize=32)
 def _s_cell_moments(dz: float, n: int, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell moments m0[k] = int S, m1[k] = int z S over [k dz, (k+1) dz].
-
-    Cell 0 goes through the smooth cumulative (Q) and the bounded first
-    moment; saturated cells (z >= 40, where S == 1) are exact; the rest
-    use vectorized Gauss panels, refined per cell until converged.
-    """
-    key = (dz, n, acc)
-    hit = _S_MOMENT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    m0 = np.zeros(n)
-    m1 = np.zeros(n)
-    m0[0] = s_cumulative(dz, acc)
-    m1[0] = s_first_moment(dz, acc)
-    if n > 1:
-        z_lo = dz * np.arange(1, n)
-        z_hi = z_lo + dz
-        flat = z_lo >= _S_FLAT
-        m0[1:][flat] = dz
-        m1[1:][flat] = 0.5 * (z_hi[flat] ** 2 - z_lo[flat] ** 2)
-        todo = np.nonzero(~flat)[0]
-        if todo.size:
-            lo = z_lo[todo]
-            cur0, cur1 = _s_cells_quad(lo, dz, acc, 1)
-            tol = max(acc.abs_tol * dz, 4e-15)
-            sub = 2
-            open_mask = np.ones_like(lo, dtype=bool)
-            while sub <= 64 and np.any(open_mask):
-                n0, n1 = _s_cells_quad(lo[open_mask], dz, acc, sub)
-                moved = (np.abs(n0 - cur0[open_mask])
-                         > np.maximum(tol, 1e-13 * np.abs(n0)))
-                cur0[open_mask] = n0
-                cur1[open_mask] = n1
-                nxt = np.zeros_like(open_mask)
-                nxt[np.nonzero(open_mask)[0][moved]] = True
-                open_mask = nxt
-                sub *= 2
-            m0[1:][todo] = cur0
-            m1[1:][todo] = cur1
-    _S_MOMENT_CACHE[key] = (m0, m1)
+    """s_cell_moments of one lattice, cached read-only: sweeps and the
+    Picard loop apply S on the same few lattices many times."""
+    m0, m1 = s_cell_moments(dz, n, acc)
+    m0.setflags(write=False)
+    m1.setflags(write=False)
     return m0, m1
 
 

@@ -122,19 +122,22 @@ def discrete_oscillation(g: GridFunction) -> float:
     return float(np.max(np.abs(np.diff(g.values))))
 
 
-def solve_picard(prob: RelaxationProblem,
-                 u0: GridFunction) -> tuple[GridFunction, SolveDiagnostics]:
+def solve_picard(prob: RelaxationProblem, u0: GridFunction,
+                 acc: Accuracy = DEFAULT_ACCURACY
+                 ) -> tuple[GridFunction, SolveDiagnostics]:
     """Picard iteration u_{n+1} = T(-lambda u_n + f(., u_n)) from u0.
 
     Stops when the sup change drops below prob.tol; if kappa >= 1 the
     contraction guarantee does not apply and the diagnostics carry a
-    warning instead of a convergence claim by contraction.
+    warning instead of a convergence claim by contraction.  acc reaches
+    every kernel evaluation (kappa and each T); a kernel that exceeds its
+    work budget raises RuntimeError.
     """
     if u0.interval != TIME_DOMAIN or u0.n != prob.grid_n:
         raise ValueError(
             f"u0 must live on [0, 1] with grid_n={prob.grid_n} intervals"
         )
-    kappa = contraction_constant(prob.alpha, prob.lam, prob.lipschitz_cf)
+    kappa = contraction_constant(prob.alpha, prob.lam, prob.lipschitz_cf, acc)
     warning = kappa >= 1.0
     t = u0.nodes()
     u = u0.values.copy()
@@ -143,7 +146,7 @@ def solve_picard(prob: RelaxationProblem,
     iterations = 0
     for iterations in range(1, prob.max_iter + 1):
         h = GridFunction(TIME_DOMAIN, -prob.lam * u + prob.rhs_values(t, u))
-        u_next = apply_t(h, prob.alpha).values
+        u_next = apply_t(h, prob.alpha, acc).values
         change = float(np.max(np.abs(u_next - u)))
         sup_changes.append(change)
         u = u_next

@@ -3,13 +3,25 @@
 Covers the exponential integral E1 (first-kind kernel), the singular
 second-kind kernel S(x) = exp(-x) * int_0^inf x^(s-1)/Gamma(s) ds, the
 exponential partial sums e_k, log-gamma, the regularized lower incomplete
-gamma P(s, x), and the cumulative kernel mass Q(X) = int_0^X S(t) dt.
+gamma P(s, x), the cumulative kernel mass Q(X) = int_0^X S(t) dt, the
+first moment int_0^delta t S(t) dt and the S cell moments of a lattice.
+
+Every S quantity comes from one representation.  With u = e^v in
+S(x) = 1 + exp(-x) int_0^inf exp(-xu)/(ln^2 u + pi^2) du,
+
+    S(x) = 1 + exp(-x) int exp(-x e^v) w(v) dv,   w(v) = e^v/(v^2 + pi^2),
+
+a smooth two-sided integral that decays like e^v on the left and
+double-exponentially on the right.  Integrating in t under the v-integral
+gives Q, the first moment and each lattice cell's moments as integrals of
+the same kind, each with its own smooth integrand in v.  All of them are
+one plain trapezoid sum in v with step 0.2, which converges exponentially
+on such integrands (the discretization error is below 1e-20).
 
 Q is never computed by integrating S directly: S blows up like
 1/(x ln^2 x) at 0+ and the mass below the smallest positive double is
-about 1.4e-3, far above any useful tolerance.  Instead Q uses the smooth
-identity Q(X) = int_0^inf P(s, X) ds, whose integrand is bounded and
-analytic in s.  Every routine here that meets the S singularity routes
+about 1.4e-3, far above any useful tolerance.  The v-integrals carry that
+mass exactly, and every routine here that meets the S singularity routes
 the near-zero part through Q.
 """
 
@@ -17,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +56,7 @@ class Accuracy:
     """Error budget for an adaptive evaluation.
 
     abs_tol / rel_tol form the target max(abs_tol, rel_tol * |value|);
-    max_work caps panel counts and series lengths.
+    max_work caps panel counts, series lengths and trapezoid nodes.
     """
 
     abs_tol: float = 1e-10
@@ -131,45 +142,40 @@ def _e1_confrac(x: float) -> float:
     return math.exp(-x) * h
 
 
-def e1_array(x: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray:
-    """Vectorized E1 over a positive array, same branch split as e1()."""
+# (-1)^k / (k k!) for k = 22 down to 1: the power series of E1 below 1,
+# whose 22nd term is under 5e-23
+_E1_SERIES = tuple((-1) ** k / (k * math.factorial(k)) for k in range(22, 0, -1))
+
+
+def e1_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized E1 over a positive array, same branch split as e1().
+
+    Both branches have a fixed length, so no convergence test runs: below
+    1 the power series to 22 terms; from 1 up the continued fraction,
+    evaluated backward from a depth set by the smallest argument,
+    20 + 64/min(x) levels (4e-15 relative at x = 1).
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("e1_array requires strictly positive arguments")
     out = np.empty_like(x)
     lo = x < 1.0
-    if np.any(lo):
-        xs = x[lo]
-        total = -EULER_GAMMA - np.log(xs)
-        p = np.ones_like(xs)
-        for k in range(1, 61):
-            p *= -xs / k
-            term = -p / k
-            total += term
-            if np.max(np.abs(term)) < acc.abs_tol * 1e-2:
-                break
-        out[lo] = total
-    hi = ~lo
-    if np.any(hi):
-        xs = x[hi]
-        tiny = 1e-300
-        b = xs + 1.0
-        c = np.full_like(xs, 1.0 / tiny)
-        d = 1.0 / b
-        h = d.copy()
-        for i in range(1, 200):
-            a = -float(i * i)
-            b = b + 2.0
-            d = a * d + b
-            d[d == 0.0] = tiny
-            c = b + a / c
-            c[c == 0.0] = tiny
-            d = 1.0 / d
-            delta = c * d
-            h *= delta
-            if np.max(np.abs(delta - 1.0)) < 1e-15:
-                break
-        out[hi] = np.exp(-xs) * h
+    xs = x[lo]
+    if xs.size:
+        # E1(x) = -gamma - ln x - sum_k (-x)^k / (k k!), in Horner form
+        poly = np.full_like(xs, _E1_SERIES[0])
+        for c in _E1_SERIES[1:]:
+            poly *= xs
+            poly += c
+        out[lo] = -EULER_GAMMA - np.log(xs) - poly * xs
+    xs = x[~lo]
+    if xs.size:
+        # E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
+        depth = 20 + int(64.0 / float(np.min(xs)))
+        d = xs + (2 * depth + 1)
+        for i in range(depth - 1, -1, -1):
+            d = xs + (2 * i + 1) - (i + 1) ** 2 / d
+        out[~lo] = np.exp(-xs) / d
     return out
 
 
@@ -182,18 +188,6 @@ def ek(k: int, x: float) -> float:
     for i in range(1, k + 1):
         term *= x / i
         total += term
-    return total
-
-
-def ek_array(k: int, x: np.ndarray) -> np.ndarray:
-    if k < 0:
-        raise ValueError(f"ek requires k >= 0, got {k}")
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for i in range(1, k + 1):
-        term = term * x / i
-        total = total + term
     return total
 
 
@@ -228,10 +222,13 @@ def e1_cumulative1_array(z: np.ndarray) -> np.ndarray:
     pos = z > 0.0
     if np.any(pos):
         zp = z[pos]
-        # 1 - (1+z) e^{-z} written to avoid cancellation at small z
-        tail = -np.expm1(-zp) - zp * np.exp(-zp)
-        out[pos] = 0.5 * (zp * zp * e1_array(zp) + tail)
+        out[pos] = 0.5 * (zp * zp * e1_array(zp) + _lower_gamma2(zp))
     return out
+
+
+def _lower_gamma2(b: np.ndarray) -> np.ndarray:
+    """gamma(2, b) = int_0^b t e^(-t) dt = 1 - e^(-b) (1 + b)."""
+    return -np.expm1(-b) - b * np.exp(-b)
 
 
 # ---------------------------------------------------------------------------
@@ -353,63 +350,52 @@ def p_regularized_array(
 # the second-kind kernel S and its cumulative Q
 # ---------------------------------------------------------------------------
 
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _composite_gl16(f_vec, lo: float, hi: float, panels: int) -> float:
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL16_NODES[None, :]).ravel()
-    vals = f_vec(nodes).reshape(panels, -1)
-    return float(np.sum(half * (vals @ _GL16_WEIGHTS)))
-
-
-def _refine_gl16(f_vec, lo: float, hi: float, abs_tol: float, max_panels: int,
-                 start: int = 8, rel_tol: float = 1e-12) -> float:
-    panels = start
-    prev = _composite_gl16(f_vec, lo, hi, panels)
-    while panels < max_panels:
-        panels *= 2
-        cur = _composite_gl16(f_vec, lo, hi, panels)
-        if abs(cur - prev) < max(abs_tol, rel_tol * abs(cur)):
-            return cur
-        prev = cur
-    raise RuntimeError(
-        f"composite quadrature did not converge on [{lo}, {hi}] "
-        f"within {max_panels} panels"
-    )
-
-
-def _s_integrand_factory(x: float):
-    lnx = math.log(x)
-
-    def f_vec(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        pos = s > 0.0
-        sp = s[pos]
-        out[pos] = np.exp((sp - 1.0) * lnx - log_gamma_array(sp) - x)
-        return out
-
-    return f_vec
-
-
-def _s_upper_limit(x: float) -> float:
-    return max(60.0, 2.0 * x + 40.0 * math.sqrt(x + 1.0))
-
+# Trapezoid step in v.  The S-family integrands are analytic in the strip
+# |Im v| < pi/2, so the discretization error is of order exp(-pi^2/h) < 1e-20.
+_V_STEP = 0.2
+# The weight e^v/(v^2 + pi^2) integrates to under 3e-21 below this.
+_V_LO = -40.0
 
 # S(x) - 1 = exp(-x) int_0^inf exp(-xu)/(ln^2 u + pi^2) du decays like
 # exp(-x)/(x ln^2 x); beyond this cutoff the difference is under 1e-20.
 _S_SATURATION = 40.0
 
+_CHUNK = 512  # points (or lattice cells) sharing one node set
+
+
+def _v_nodes(v_hi: float, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid nodes v on [_V_LO, v_hi] and the weights h/(v^2 + pi^2).
+
+    Raises RuntimeError when the rule needs more nodes than acc.max_work.
+    """
+    count = int((max(v_hi, _V_LO) - _V_LO) / _V_STEP) + 2
+    if count > acc.max_work:
+        raise RuntimeError(
+            f"trapezoid rule on [{_V_LO}, {v_hi:.6g}] needs {count} nodes, "
+            f"more than the work budget of {acc.max_work}"
+        )
+    # integer multiples of the step: np.arange(lo, hi, h) drifts from h
+    # by ~1e-14 relative, which biases every weight by as much
+    v = _V_LO + _V_STEP * np.arange(count)
+    return v, _V_STEP / (v * v + math.pi ** 2)
+
+
+def _sigma(v: np.ndarray) -> np.ndarray:
+    """e^v/(1 + e^v), for v >= _V_LO."""
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def _sigma_prime(v: np.ndarray) -> np.ndarray:
+    """e^v/(1 + e^v)^2, even in v; without overflow for any v."""
+    u = np.exp(-np.abs(v))
+    return u / ((1.0 + u) * (1.0 + u))
+
 
 def volterra_s(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """The second-kind kernel S(x) = exp(-x) int_0^inf x^(s-1)/Gamma(s) ds.
 
-    Valid for x > 0; the integrand in s decays super-exponentially past
-    s ~ x, so truncation at _s_upper_limit is certifiable.  Evaluation is
-    only permitted down to x = 1e-12; integrals against S must route the
+    Valid for x > 0 and evaluated by volterra_s_array.  Evaluation is only
+    permitted down to x = 1e-12; integrals against S must route the
     near-zero mass through s_cumulative.
     """
     if not x > 0.0:
@@ -419,143 +405,115 @@ def volterra_s(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
             f"volterra_s is restricted to x >= 1e-12 (got {x}); "
             "route near-zero integrals through s_cumulative"
         )
-    if x >= _S_SATURATION:
-        return 1.0
-    f_vec = _s_integrand_factory(x)
-    s_max = _s_upper_limit(x)
-    value = _refine_gl16(f_vec, 0.0, s_max, acc.abs_tol, acc.max_work,
-                         rel_tol=acc.rel_tol)
-    # doubling tail blocks until a block is negligible
-    lo = s_max
-    while True:
-        hi = 2.0 * lo
-        block = _composite_gl16(f_vec, lo, hi, 4)
-        value += block
-        if abs(block) < acc.abs_tol * 1e-2:
-            break
-        lo = hi
-    return value
+    return float(volterra_s_array(np.array([x]), acc)[0])
 
 
 def volterra_s_array(x: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray:
-    """Vectorized S over positive x, sharing the s-grid within chunks."""
+    """Vectorized S over x >= 1e-12:
+
+        S(x) = 1 + exp(-x) h sum_v exp(-x e^v) e^v/(v^2 + pi^2)
+
+    over v in [-40, ln(50/x_min)] (the right tail is under exp(-50)), in
+    sorted chunks of at most 512 points that share the nodes.  S is 1 from
+    x = 40 on.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x < 1e-12):
         raise ValueError("volterra_s_array requires x >= 1e-12 throughout")
     flat = x.ravel()
     out = np.ones_like(flat)
-    small = flat < _S_SATURATION
-    todo = np.nonzero(small)[0]
+    todo = np.nonzero(flat < _S_SATURATION)[0]
     order = todo[np.argsort(flat[todo])]
-    chunk = 512
-    for start in range(0, order.size, chunk):
-        idx = order[start:start + chunk]
-        out[idx] = _s_chunk(flat[idx], acc)
+    for start in range(0, order.size, _CHUNK):
+        idx = order[start:start + _CHUNK]
+        xs = flat[idx]
+        v, w = _v_nodes(math.log(50.0 / xs[0]), acc)
+        ev = np.exp(v)
+        out[idx] = 1.0 + np.exp(-xs) * (np.exp(-np.outer(xs, ev)) @ (w * ev))
     return out.reshape(x.shape)
 
 
-def _s_chunk(xs: np.ndarray, acc: Accuracy) -> np.ndarray:
-    lnx = np.log(xs)
-    s_max = _s_upper_limit(float(np.max(xs)))
-
-    def sweep(panels: int) -> np.ndarray:
-        edges = np.linspace(0.0, s_max, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * _GL16_NODES[None, :]).ravel()
-        w = (half[:, None] * _GL16_WEIGHTS[None, :]).ravel()
-        lg = log_gamma_array(nodes)
-        expo = np.outer(lnx, nodes - 1.0) - lg[None, :] - xs[:, None]
-        return np.exp(expo) @ w
-
-    panels = 16
-    prev = sweep(panels)
-    while panels < acc.max_work:
-        panels *= 2
-        cur = sweep(panels)
-        tol = np.maximum(acc.abs_tol, acc.rel_tol * np.abs(cur))
-        if np.all(np.abs(cur - prev) < tol):
-            break
-        prev = cur
-    else:
-        raise RuntimeError("volterra_s_array refinement did not converge")
-    # tail blocks (shared): contribution bounded by the largest x in chunk
-    lo = s_max
-    while True:
-        hi = 2.0 * lo
-        edges = np.linspace(lo, hi, 5)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * _GL16_NODES[None, :]).ravel()
-        w = (half[:, None] * _GL16_WEIGHTS[None, :]).ravel()
-        lg = log_gamma_array(nodes)
-        expo = np.outer(lnx, nodes - 1.0) - lg[None, :] - xs[:, None]
-        block = np.exp(expo) @ w
-        cur = cur + block
-        if np.max(np.abs(block)) < acc.abs_tol * 1e-2:
-            break
-        lo = hi
-    return cur
-
-
 def s_cumulative(X: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Q(X) = int_0^X S(t) dt via the smooth route int_0^inf P(s, X) ds.
+    """Q(X) = int_0^X S(t) dt.
 
-    The s-integrand is bounded by 1, decays super-exponentially once
-    s >> X, and has no singularity, so this is accurate even though S
-    itself blows up at 0+.
+    Integrating S in t under the v-integral, and using
+    int sigma(v)/(v^2 + pi^2) dv = 1/2 with sigma(v) = e^v/(1 + e^v),
+
+        Q(X) = X + 1/2 - int sigma(v) exp(-X (1 + e^v))/(v^2 + pi^2) dv,
+
+    a bounded integrand that needs v only up to ln(40/X) (the tail is under
+    exp(-40)).  Accurate even though S itself blows up at 0+.
     """
     if X < 0.0:
         raise ValueError(f"s_cumulative requires X >= 0, got {X}")
     if X == 0.0:
         return 0.0
-    return _q_cached(float(X), acc.abs_tol, acc.rel_tol, acc.max_work)
-
-
-@lru_cache(maxsize=65536)
-def _q_cached(X: float, abs_tol: float, rel_tol: float, max_work: int) -> float:
-    acc = Accuracy(abs_tol, rel_tol, max_work)
-
-    def f_vec(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        pos = s > 0.0
-        out[pos] = p_regularized_array(s[pos], X, acc)
-        return out
-
-    s_hi = X + 10.0 * math.sqrt(X + 4.0) + 25.0
-    while p_regularized(s_hi, X, acc) > abs_tol * 1e-2:
-        s_hi *= 1.3
-    return _refine_gl16(f_vec, 0.0, s_hi, abs_tol, max_work)
+    ln_x = math.log(X)
+    v, w = _v_nodes(math.log(40.0) - ln_x, acc)
+    # X e^v as exp(v + ln X): e^v alone overflows for X below ~1e-306
+    return float(X + 0.5 - np.sum(w * _sigma(v) * np.exp(-X - np.exp(v + ln_x))))
 
 
 def s_first_moment(delta: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """int_0^delta t S(t) dt.
+    """int_0^delta t S(t) dt, as
 
-    Via u = ln t the integrand becomes exp(2u) S(exp(u)) ~ e^u/u^2, smooth
-    and integrable; the truncated mass below t = 1e-12 is under 4e-14.
+        delta^2/2 + int gamma(2, a) e^v/((1 + e^v)^2 (v^2 + pi^2)) dv,
+
+    with a = delta (1 + e^v) and gamma(2, a) = 1 - e^(-a) (1 + a).  Past
+    v = ln(1/delta) the integrand decays only like e^(-v), so the range
+    runs 40 further, leaving a tail under 1e-17 relative.
     """
     if delta < 0.0:
         raise ValueError(f"s_first_moment requires delta >= 0, got {delta}")
-    if delta <= 1e-12:
+    if delta == 0.0:
         return 0.0
-    return _s_first_moment_cached(float(delta), acc.abs_tol, acc.rel_tol,
-                                  acc.max_work)
+    ln_d = math.log(delta)
+    v, w = _v_nodes(40.0 - ln_d, acc)
+    a = delta + np.exp(v + ln_d)
+    return float(0.5 * delta * delta + np.sum(w * _sigma_prime(v) * _lower_gamma2(a)))
 
 
-@lru_cache(maxsize=65536)
-def _s_first_moment_cached(delta: float, abs_tol: float, rel_tol: float,
-                           max_work: int) -> float:
-    acc = Accuracy(abs_tol, rel_tol, max_work)
+def s_cell_moments(dz: float, n: int, acc: Accuracy = DEFAULT_ACCURACY
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Cell moments m0[k] = int S(t) dt and m1[k] = int t S(t) dt over the
+    cells [z_k, z_k + dz], z_k = k dz, k = 0..n-1.
 
-    def g_vec(u: np.ndarray) -> np.ndarray:
-        t = np.exp(np.asarray(u, dtype=float))
-        return t * t * volterra_s_array(t, acc)
+    Cell 0 holds the singularity and takes Q(dz) and the first moment.
+    Each cell k >= 1 below saturation is one integrand in v, the exact
+    t-integral over the cell of exp(-t a), a = 1 + e^v, against the weight
+    w = e^v/(v^2 + pi^2):
 
-    u_lo = math.log(1e-12)
-    u_hi = math.log(delta)
-    return _refine_gl16(g_vec, u_lo, u_hi, abs_tol * 1e-2, max_work,
-                        start=16, rel_tol=max(rel_tol, 1e-10))
+        m0[k] = dz + int w e^(-z_k a) (1 - e^(-dz a))/a dv
+        m1[k] = dz (z_k + dz/2) + z_k (m0[k] - dz)
+                + int w e^(-z_k a) gamma(2, dz a)/a^2 dv
+
+    (the second is the difference of (z/a + 1/a^2) e^(-z a) between the
+    cell ends, written without its cancellation).  Cells from z_k = 40 on
+    have S = 1 and are exact.
+    """
+    if not dz > 0.0:
+        raise ValueError(f"s_cell_moments requires dz > 0, got {dz}")
+    if n < 1:
+        raise ValueError(f"s_cell_moments requires n >= 1, got {n}")
+    z = dz * np.arange(n)
+    m0 = np.full(n, dz)
+    m1 = dz * (z + 0.5 * dz)
+    m0[0] = s_cumulative(dz, acc)
+    m1[0] = s_first_moment(dz, acc)
+    k_sat = int(np.searchsorted(z, _S_SATURATION))
+    if k_sat > 1:
+        v, w = _v_nodes(math.log(50.0 / dz), acc)
+        a = 1.0 + np.exp(v)
+        b = dz * a
+        cols = np.stack([w * _sigma(v) * -np.expm1(-b),
+                         w * _sigma_prime(v) * _lower_gamma2(b)], axis=1)
+        for lo in range(1, k_sat, _CHUNK):
+            hi = min(lo + _CHUNK, k_sat)
+            zk = z[lo:hi]
+            part = np.exp(-np.outer(zk, a)) @ cols
+            m0[lo:hi] += part[:, 0]
+            m1[lo:hi] += zk * part[:, 0] + part[:, 1]
+    return m0, m1
 
 
 def e1_s_convolution(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -577,7 +535,7 @@ def e1_s_convolution(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
 
     def f_vec(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        return e1_array(x - z, acc) * volterra_s_array(z, acc)
+        return e1_array(x - z) * volterra_s_array(z, acc)
 
     body = quadrature.integrate(
         quadrature.Integrand(

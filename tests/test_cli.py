@@ -185,6 +185,17 @@ class TestEnvOverride:
         assert proc.returncode == 2
         assert "kernel evaluation failed" in proc.stderr
 
+    def test_max_work_env_relax(self):
+        problem = (Path(__file__).resolve().parents[1] / "scripts"
+                   / "sample_problem.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracalc.cli", "relax", "--problem",
+             str(problem)],
+            capture_output=True, text=True, env=_child_env("8"),
+        )
+        assert proc.returncode == 2
+        assert "relax failed" in proc.stderr
+
     def test_bad_env_value(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fracalc.cli", "kernel", "--which", "e1",

@@ -20,6 +20,7 @@ from fracalc.funcspec import (
 from fracalc.operators import (
     OperatorParams,
     Side,
+    _s_cell_moments,
     apply_j,
     apply_j_at,
     apply_s,
@@ -31,7 +32,7 @@ from fracalc.operators import (
     running_integral,
     write_report_csv,
 )
-from fracalc.special import e1, s_cumulative
+from fracalc.special import DEFAULT_ACCURACY, e1, s_cumulative
 
 UNIT = Interval(0.0, 1.0)
 WIDE = Interval(0.0, 2.0)
@@ -232,6 +233,19 @@ class TestApplyS:
         g = sample_spec(Sin(1.0), UNIT, 100)
         with pytest.raises(ValueError):
             apply_s(Grid(g), left(0.5), 64)
+
+    def test_moment_cache_is_bounded(self):
+        _s_cell_moments.cache_clear()
+        size = _s_cell_moments.cache_info().maxsize
+        assert size >= 16
+        for k in range(size + 3):
+            m0, _ = _s_cell_moments(0.5 + k, 2, DEFAULT_ACCURACY)
+        with pytest.raises(ValueError):
+            m0[0] = 0.0  # callers share the cached arrays
+        info = _s_cell_moments.cache_info()
+        assert info.currsize == size
+        _s_cell_moments(0.5, 2, DEFAULT_ACCURACY)  # the oldest was evicted
+        assert _s_cell_moments.cache_info().misses == info.misses + 1
 
 
 class TestRunningIntegral:

@@ -20,6 +20,7 @@ from fracalc.special import (
     log_gamma_array,
     p_regularized,
     p_regularized_array,
+    s_cell_moments,
     s_cumulative,
     s_first_moment,
     volterra_s,
@@ -243,6 +244,72 @@ class TestCumulative:
     def test_first_moment_small(self):
         b = s_first_moment(1e-3)
         assert 0.0 < b < 1e-3 * s_cumulative(1e-3)
+
+    def test_first_moment_against_scipy(self):
+        # int_0^d t S(t) dt = int_0^inf s P(s+1, d) ds
+        integrate = pytest.importorskip("scipy.integrate")
+        gammainc = pytest.importorskip("scipy.special").gammainc
+        d = 1e-3
+        ref, _ = integrate.quad(lambda s: s * gammainc(s + 1.0, d), 0.0,
+                                np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert s_first_moment(d) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("fn", [
+        lambda acc: volterra_s_array(np.array([0.5]), acc),
+        lambda acc: s_cumulative(0.5, acc),
+        lambda acc: s_first_moment(0.5, acc),
+        lambda acc: s_cell_moments(0.1, 4, acc),
+    ])
+    def test_work_budget_enforced(self, fn):
+        with pytest.raises(RuntimeError, match="work budget"):
+            fn(Accuracy(max_work=8))
+
+
+class TestIndependentSpotChecks:
+    """The S family and E1 against mpmath/scipy evaluations of their
+    definitions, sharing no algorithm with the evaluators."""
+
+    @pytest.mark.parametrize("x", [1e-12, 1e-6, 1e-3, 0.5, 3.0, 20.0, 39.0])
+    def test_s_against_mpmath(self, x):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            lnx = mp.log(mp.mpf(x))
+            body = mp.quad(lambda s: mp.exp((s - 1) * lnx) * mp.rgamma(s),
+                           [0, 0.01, 0.1, 1, 10, 100, mp.inf])
+            ref = float(mp.exp(-mp.mpf(x)) * body)
+        assert volterra_s(x) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("X", [1e-6, 1e-3, 1.0, 10.0])
+    def test_q_against_scipy(self, X):
+        # Q(X) = int_0^inf P(s, X) ds
+        integrate = pytest.importorskip("scipy.integrate")
+        gammainc = pytest.importorskip("scipy.special").gammainc
+        ref, _ = integrate.quad(lambda s: gammainc(s, X), 0.0, np.inf,
+                                epsabs=0.0, epsrel=1e-13, limit=200)
+        assert s_cumulative(X) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_cell_moments_against_scipy(self):
+        # m0, m1 as differences of Q(z) and M1(z) = int_0^inf s P(s+1, z) ds
+        integrate = pytest.importorskip("scipy.integrate")
+        gammainc = pytest.importorskip("scipy.special").gammainc
+        dz, n = 0.25, 12
+        z = dz * np.arange(n + 1)
+        top = z[-1] + 12.0 * math.sqrt(z[-1] + 4.0) + 30.0
+        q, _ = integrate.quad_vec(lambda s: gammainc(s, z), 0.0, top,
+                                  epsabs=1e-15, epsrel=1e-14, limit=4000)
+        b, _ = integrate.quad_vec(lambda s: s * gammainc(s + 1.0, z), 0.0, top,
+                                  epsabs=1e-15, epsrel=1e-14, limit=4000)
+        m0, m1 = s_cell_moments(dz, n)
+        assert np.allclose(m0, np.diff(q), rtol=1e-12, atol=0.0)
+        assert np.allclose(m1, np.diff(b), rtol=1e-12, atol=0.0)
+
+    def test_e1_array_against_scipy(self):
+        exp1 = pytest.importorskip("scipy.special").exp1
+        # the continued-fraction depth follows the smallest argument of a
+        # call, so each range starts at a different one
+        for lo in (1e-300, 0.999, 1.0, 1.7, 5.0, 60.0):
+            x = np.geomspace(lo, 700.0, 3000)
+            assert np.allclose(e1_array(x), exp1(x), rtol=1e-14, atol=0.0)
 
 
 class TestKernelIdentities:
