@@ -15,8 +15,9 @@ Subcommands:
 Exit codes: 0 success, 2 argument/validation errors, 3 failed checks.
 Numbers are printed with 15 significant digits; output is deterministic.
 The environment variable FRACALC_MAX_WORK overrides the default work
-budget (quadrature panels, trapezoid nodes); kernel and relax exit 2 when
-a kernel evaluation would exceed it.
+budget (quadrature panels, trapezoid nodes); every command exits 2, with
+"<command> failed: ..." on stderr ("kernel evaluation failed: ..." for
+kernel), when a kernel evaluation would exceed it.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     acc = default_accuracy()
     points = _parse_floats(args.points, "points")
     fns = {
-        "e1": lambda x: e1(x, acc),
+        "e1": e1,
         "s": lambda x: volterra_s(x, acc),
         "q": lambda x: s_cumulative(x, acc),
         "p": lambda x: p_regularized(args.s, x, acc),
@@ -230,10 +231,7 @@ def _cmd_relax(args: argparse.Namespace) -> int:
         u0 = GridFunction(TIME_DOMAIN, np.full(prob.grid_n + 1, c))
     else:
         raise SystemExit(f"u0 must be 'zero' or 'const:<c>', got {args.u0!r}")
-    try:
-        u, diag = solve_picard(prob, u0, acc)
-    except RuntimeError as exc:
-        raise SystemExit(f"relax failed: {exc}")
+    u, diag = solve_picard(prob, u0, acc)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["t", "u"])
@@ -312,6 +310,10 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write(exc.code + "\n")
             return 2
         raise
+    except RuntimeError as exc:
+        # a kernel evaluation exceeded the work budget
+        sys.stderr.write(f"{args.command} failed: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -132,15 +132,12 @@ def _j_point_adaptive(f: FunctionSpec, p: OperatorParams,
     if Z <= 0.0:
         return 0.0, True, 0.0
 
-    def f_vec(z: np.ndarray) -> np.ndarray:
+    def integrand(z: np.ndarray) -> np.ndarray:
         t = _shifted_arg(p, x, z)
         return e1_array(_clip_pos(z)) * eval_spec_array(f, t, p.interval, p.alpha)
 
     marker = Singularity.LOG_BOTH if _far_end_singular(f, p) else Singularity.LOG_LEFT
-    res = integrate(
-        Integrand(lambda z: float(f_vec(np.asarray([z]))[0]), marker, f_vec),
-        0.0, Z, p.acc,
-    )
+    res = integrate(Integrand(integrand, marker), 0.0, Z, p.acc)
     return res.value, res.converged, res.err_estimate
 
 
@@ -289,14 +286,11 @@ def _s_point_adaptive(f: FunctionSpec, p: OperatorParams,
     if Z <= delta:
         return head, True, head_err
 
-    def f_vec(z: np.ndarray) -> np.ndarray:
+    def integrand(z: np.ndarray) -> np.ndarray:
         return volterra_s_array(_clip_pos(z), p.acc) * g_vals(z)
 
     marker = Singularity.LOG_BOTH if _far_end_singular(f, p) else Singularity.LOG_LEFT
-    res = integrate(
-        Integrand(lambda z: float(f_vec(np.asarray([z]))[0]), marker, f_vec),
-        delta, Z, p.acc,
-    )
+    res = integrate(Integrand(integrand, marker), delta, Z, p.acc)
     return (head + alpha * res.value, res.converged,
             head_err + alpha * res.err_estimate)
 
@@ -389,12 +383,8 @@ def running_integral(f: FunctionSpec, interval: Interval, side: Side,
             if end == "b" and i == xs.size - 1:
                 seg_marker = Singularity.LOG_RIGHT
             res = integrate(
-                Integrand(
-                    lambda t: float(eval_spec_array(f, np.asarray([t]),
-                                                    interval, alpha)[0]),
-                    seg_marker,
-                    lambda t: eval_spec_array(f, t, interval, alpha),
-                ),
+                Integrand(lambda t: eval_spec_array(f, t, interval, alpha),
+                          seg_marker),
                 lo, hi, acc_seg,
             )
             total += res.value

@@ -93,53 +93,11 @@ CONSTANTS = SpecialConstants()
 # exponential integral E1
 # ---------------------------------------------------------------------------
 
-def e1(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """E1(x) = int_x^inf exp(-t)/t dt for x > 0.
-
-    Power series below x = 1, modified continued fraction (Lentz) above;
-    the two branches are cross-checked against each other in the tests.
-    """
+def e1(x: float) -> float:
+    """E1(x) = int_x^inf exp(-t)/t dt for x > 0, evaluated by e1_array."""
     if not x > 0.0:
         raise ValueError(f"e1 requires x > 0, got {x}")
-    if x < 1.0:
-        return _e1_series(x, acc)
-    return _e1_confrac(x)
-
-
-def _e1_series(x: float, acc: Accuracy) -> float:
-    total = -EULER_GAMMA - math.log(x)
-    p = 1.0
-    for k in range(1, 61):
-        p *= -x / k
-        term = -p / k
-        total += term
-        if abs(term) < acc.abs_tol * 1e-2:
-            break
-    return total
-
-
-def _e1_confrac(x: float) -> float:
-    # Modified Lentz on E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -float(i * i)
-        b += 2.0
-        d = a * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return math.exp(-x) * h
+    return float(e1_array(np.array([x]))[0])
 
 
 # (-1)^k / (k k!) for k = 22 down to 1: the power series of E1 below 1,
@@ -148,7 +106,7 @@ _E1_SERIES = tuple((-1) ** k / (k * math.factorial(k)) for k in range(22, 0, -1)
 
 
 def e1_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized E1 over a positive array, same branch split as e1().
+    """Vectorized E1 over a positive array.
 
     Both branches have a fixed length, so no convergence test runs: below
     1 the power series to 22 terms; from 1 up the continued fraction,
@@ -247,18 +205,15 @@ def _lgamma_stirling(s: np.ndarray) -> np.ndarray:
 
 
 def log_gamma(s: float) -> float:
-    """ln Gamma(s) for s > 0 via shifted Stirling series."""
+    """ln Gamma(s) for s > 0, evaluated by log_gamma_array."""
     if not s > 0.0:
         raise ValueError(f"log_gamma requires s > 0, got {s}")
-    if s >= 10.0:
-        return float(_lgamma_stirling(np.asarray(s)))
-    shift = 0.0
-    for i in range(_LGAMMA_SHIFT):
-        shift += math.log(s + i)
-    return float(_lgamma_stirling(np.asarray(s + _LGAMMA_SHIFT))) - shift
+    return float(log_gamma_array(np.array([s]))[0])
 
 
 def log_gamma_array(s: np.ndarray) -> np.ndarray:
+    """ln Gamma(s) over an array of s > 0, by the Stirling series, shifted
+    by the recurrence below s = 10."""
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0):
         raise ValueError("log_gamma_array requires strictly positive arguments")
@@ -531,21 +486,13 @@ def e1_s_convolution(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     q_head = s_cumulative(delta, acc)
     b_head = s_first_moment(delta, acc)
     # E1(x - z) ~ E1(x) + z e^{-x}/x near z = 0
-    head = e1(x, acc) * q_head + math.exp(-x) / x * b_head
+    head = e1(x) * q_head + math.exp(-x) / x * b_head
 
-    def f_vec(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+    def f(z: np.ndarray) -> np.ndarray:
         return e1_array(x - z) * volterra_s_array(z, acc)
 
     body = quadrature.integrate(
-        quadrature.Integrand(
-            f=lambda z: float(f_vec(np.asarray([z]))[0]),
-            singularity=quadrature.Singularity.LOG_BOTH,
-            f_vec=f_vec,
-        ),
-        delta,
-        x,
-        acc,
+        quadrature.Integrand(f, quadrature.Singularity.LOG_BOTH), delta, x, acc
     )
     return head + body.value
 
@@ -556,9 +503,8 @@ def volterra_integrand(acc: Accuracy = DEFAULT_ACCURACY):
     from . import quadrature
 
     return quadrature.Integrand(
-        f=lambda t: volterra_s(t, acc),
+        f=lambda t: volterra_s_array(t, acc),
         singularity=quadrature.Singularity.INTEGRABLE_LEFT,
-        f_vec=lambda t: volterra_s_array(t, acc),
         cumulative_from_left=lambda d: s_cumulative(d, acc),
         first_moment_from_left=lambda d: s_first_moment(d, acc),
     )

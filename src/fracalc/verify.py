@@ -125,19 +125,19 @@ def _trapz_norm(values: np.ndarray, spacing: float, p: float) -> float:
 # laplace suite
 # ---------------------------------------------------------------------------
 
+# E1 on (0, inf); the clip keeps every node inside e1_array's domain x > 0
+_E1_INTEGRAND = quadrature.Integrand(
+    lambda t: e1_array(np.maximum(t, 1e-300)), quadrature.Singularity.LOG_LEFT)
+
+
 def suite_laplace(alphas=None, acc: Accuracy = DEFAULT_ACCURACY) -> list[CheckRow]:
     rows = []
-    e1_integrand = quadrature.Integrand(
-        lambda t: float(e1_array(np.asarray([max(t, 1e-300)]))[0]),
-        quadrature.Singularity.LOG_LEFT,
-        lambda t: e1_array(np.maximum(t, 1e-300)),
-    )
     for lam in (0.5, 1.0, 2.0):
-        val = quadrature.laplace(e1_integrand, lam, acc)
+        val = quadrature.laplace(_E1_INTEGRAND, lam, acc).value
         rows.append(_diff_row("laplace_e1", "-", lam, val,
                               math.log1p(lam) / lam, 1e-6))
     lam = math.e - 1.0
-    val = quadrature.laplace(volterra_integrand(acc), lam, acc)
+    val = quadrature.laplace(volterra_integrand(acc), lam, acc).value
     rows.append(_diff_row("laplace_s", "-", lam, val, 1.0, 1e-5))
     for x in (0.1, 0.5, 1.0, 2.0):
         rows.append(_diff_row("convolution_e1_s", "-", x,
@@ -302,14 +302,7 @@ def _semigroup_rows(acc: Accuracy) -> list[CheckRow]:
 def suite_integrals(alphas=None, acc: Accuracy = DEFAULT_ACCURACY) -> list[CheckRow]:
     alphas = tuple(alphas) if alphas else (0.3, 1.0)
     rows = []
-    norm_res = quadrature.integrate_semi_infinite(
-        quadrature.Integrand(
-            lambda t: float(e1_array(np.asarray([max(t, 1e-300)]))[0]),
-            quadrature.Singularity.LOG_LEFT,
-            lambda t: e1_array(np.maximum(t, 1e-300)),
-        ),
-        0.0, acc,
-    )
+    norm_res = quadrature.integrate_semi_infinite(_E1_INTEGRAND, 0.0, acc)
     rows.append(_diff_row("e1_normalization", "-", 0.0, norm_res.value,
                           1.0, 1e-8))
     rows.extend(_closed_form_rows(alphas, acc))

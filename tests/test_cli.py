@@ -27,7 +27,8 @@ class TestKernel:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "x,value"
-        assert lines[1].startswith("1,0.21938393439551")
+        # E1(1) = 0.2193839343955203, correctly rounded to 15 digits
+        assert lines[1] == "1,0.21938393439552"
 
     def test_q_multiple_points(self, capsys):
         code, out, _ = run_main(
@@ -195,6 +196,18 @@ class TestEnvOverride:
         )
         assert proc.returncode == 2
         assert "relax failed" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["apply", "--op", "s", "--side", "left", "--alpha", "0.5",
+         "--spec", "sin:1", "--interval", "0,1", "--n-out", "8"],
+        ["sweep", "--spec", "sin:1", "--alpha-list", "0.5"],
+        ["verify", "--suite", "laplace"],
+    ], ids=lambda argv: argv[0])
+    def test_max_work_env_every_command(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("FRACALC_MAX_WORK", "8")
+        code, _, err = run_main(argv, capsys)
+        assert code == 2
+        assert f"{argv[0]} failed" in err
 
     def test_bad_env_value(self):
         proc = subprocess.run(

@@ -113,12 +113,11 @@ class TestClosedE1Kernel:
         from fracalc.quadrature import Integrand, Singularity, integrate
         from fracalc.special import e1_array
 
-        def f_vec(z):
+        def f(z):
             return (e1_array(np.maximum(z, 1e-300))
                     * e1_array(np.maximum(1.0 - z, 1e-300)))
 
-        res = integrate(Integrand(lambda z: float(f_vec(np.array([z]))[0]),
-                                  Singularity.LOG_BOTH, f_vec), 0.0, 1.0)
+        res = integrate(Integrand(f, Singularity.LOG_BOTH), 0.0, 1.0)
         closed = j_closed_e1kernel(left(1.0, WIDE), 1.0)
         assert closed == pytest.approx(res.value, abs=1e-6)
 
