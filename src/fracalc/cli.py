@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .derivatives import AcFunction, d_frac_ac, d_frac_numeric
+from .derivatives import _FD_STEP_FRACTION, AcFunction, d_frac_ac, d_frac_numeric
 from .funcspec import (
     Grid,
     GridFunction,
@@ -163,7 +163,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         else:
             if isinstance(spec, Grid):
                 out = d_frac_numeric(spec.fn, p)
-                h = interval.width / 4096
+                h = interval.width / _FD_STEP_FRACTION
                 err = h * h * float(np.max(np.abs(out.values)) + 1.0)
                 report = OperatorReport(
                     out, np.ones(out.values.size, dtype=bool), err)

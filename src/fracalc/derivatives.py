@@ -9,16 +9,15 @@ Two evaluation routes are kept deliberately separate and cross-checked:
                      O(h^2), used as the independent route and for grid
                      inputs with no catalog derivative.
 
-The module also packages the inversion and correction identities as
-runnable residual checks (sup-norm over interior points), with CSV rows
-check,side,alpha,residual,tolerance,pass.
+Both routes difference J through the lattice engine of the operators
+module when the input is a grid.  The module also packages the inversion
+and correction identities as runnable residual checks (sup-norm over
+interior points), each returned as a ResidualReport.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -90,16 +89,6 @@ class ResidualReport:
         return self.residual < self.tolerance
 
 
-def write_residuals_csv(path: str | Path, rows: list[ResidualReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["check", "side", "alpha", "residual", "tolerance", "pass"])
-        for r in rows:
-            w.writerow([r.check, r.side.value, f"{r.alpha:.15g}",
-                        f"{r.residual:.15g}", f"{r.tolerance:.15g}",
-                        "true" if r.passed else "false"])
-
-
 def _interior_nodes(p: OperatorParams, n_out: int) -> np.ndarray:
     """Uniform grid with the side's singular endpoint excluded."""
     full = np.linspace(p.interval.a, p.interval.b, n_out + 2)
@@ -153,10 +142,8 @@ def d_frac_numeric(g: GridFunction, p: OperatorParams,
             f"difference step {h} exceeds the node spacing {g.spacing}"
         )
     xs = g.nodes()[1:-1]
-    up, _, _ = apply_j_at(Grid(g), p, xs + h)
-    dn, _, _ = apply_j_at(Grid(g), p, xs - h)
-    vals = (up - dn) / (2.0 * h)
-    return GridFunction(Interval(float(xs[0]), float(xs[-1])), vals)
+    return GridFunction(Interval(float(xs[0]), float(xs[-1])),
+                        d_frac_at(Grid(g), p, xs, h=h))
 
 
 def d_frac_at(f: FunctionSpec, p: OperatorParams, xs: np.ndarray,
@@ -170,9 +157,8 @@ def d_frac_at(f: FunctionSpec, p: OperatorParams, xs: np.ndarray,
         g = f.fn
     else:
         g = sample_spec(f, p.interval, fine_n, p.alpha)
-    up, _, _ = apply_j_at(Grid(g), p, xs + h)
-    dn, _, _ = apply_j_at(Grid(g), p, xs - h)
-    return (up - dn) / (2.0 * h)
+    vals, _, _ = apply_j_at(Grid(g), p, np.concatenate([xs + h, xs - h]))
+    return (vals[:xs.size] - vals[xs.size:]) / (2.0 * h)
 
 
 def check_inversion_ds(phi: FunctionSpec, p: OperatorParams,

@@ -10,25 +10,26 @@ after the substitution z = (x - t)/alpha:
 Analytic inputs run through the adaptive engine with the kernel's log
 singularity declared; the S kernel's non-removable singularity is split
 at delta = 1e-3 and its head routed through the smooth cumulative Q.
-Grid inputs are integrated exactly (piecewise-linear interpolant against
+Grid inputs are integrated exactly (piecewise-linear carrier against
 closed kernel moments), which keeps the L^p norm inequalities honest at
-machine precision.  Output at the collapsed endpoint (x = a for the left
-side) is 0 by continuity; that convention is a choice — the operators
-are only defined almost everywhere.
+machine precision.  On the input's own lattice, or a sub-lattice of it,
+both kernels run as Toeplitz convolutions; J at other points is a blocked
+matrix product of closed E1 cumulative differences; S of a grid input
+exists only on its lattice.  Output at the collapsed endpoint (x = a for
+the left side) is 0 by continuity; that convention is a choice — the
+operators are only defined almost everywhere.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from . import quadrature
 from .funcspec import (
     FunctionSpec,
     Grid,
@@ -85,24 +86,8 @@ class OperatorReport:
     worst_err_estimate: float
 
 
-def write_report_csv(path: str | Path, report: OperatorReport,
-                     errs: np.ndarray | None = None) -> None:
-    """CSV rows x,value,converged,err_estimate (worst estimate reused when
-    per-point errors were not kept)."""
-    xs = report.outputs.nodes()
-    vals = report.outputs.values
-    if errs is None:
-        errs = np.full_like(vals, report.worst_err_estimate)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value", "converged", "err_estimate"])
-        for x, v, c, e in zip(xs, vals, report.per_point_converged, errs):
-            w.writerow([f"{x:.15g}", f"{v:.15g}",
-                        "true" if c else "false", f"{e:.15g}"])
-
-
 # ---------------------------------------------------------------------------
-# first-kind operator J
+# analytic inputs: one adaptive integral per output point
 # ---------------------------------------------------------------------------
 
 def _clip_pos(z: np.ndarray) -> np.ndarray:
@@ -141,125 +126,6 @@ def _j_point_adaptive(f: FunctionSpec, p: OperatorParams,
     return res.value, res.converged, res.err_estimate
 
 
-def _grid_cells(g: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    nodes = g.nodes()
-    v = g.values
-    slopes = (v[1:] - v[:-1]) / g.spacing
-    return nodes, v, slopes
-
-
-def _j_grid_at(g: GridFunction, p: OperatorParams,
-               xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact first-kind integral of the piecewise-linear interpolant."""
-    nodes, v, slopes = _grid_cells(g)
-    a, b = p.interval.a, p.interval.b
-    alpha = p.alpha
-    vals = np.zeros_like(xs)
-    for i, x in enumerate(xs):
-        if p.side == Side.LEFT:
-            mask = nodes[:-1] < x
-            if not np.any(mask):
-                continue
-            t_lo = nodes[:-1][mask]
-            t_hi = np.minimum(nodes[1:][mask], x)
-            z_lo = (x - t_hi) / alpha
-            z_hi = (x - t_lo) / alpha
-        else:
-            mask = nodes[1:] > x
-            if not np.any(mask):
-                continue
-            t_lo = np.maximum(nodes[:-1][mask], x)
-            t_hi = nodes[1:][mask]
-            z_lo = (t_lo - x) / alpha
-            z_hi = (t_hi - x) / alpha
-        vj = v[:-1][mask]
-        sj = slopes[mask]
-        base = nodes[:-1][mask]
-        # f(t) = vj + sj (t - base); t = x -/+ alpha z
-        sign = -1.0 if p.side == Side.LEFT else 1.0
-        C = vj + sj * (x - base)
-        D = sign * sj * alpha
-        dm0 = e1_cumulative0_array(z_hi) - e1_cumulative0_array(z_lo)
-        dm1 = e1_cumulative1_array(z_hi) - e1_cumulative1_array(z_lo)
-        vals[i] = float(np.sum(C * dm0) + np.sum(D * dm1))
-    err = g.spacing ** 2 * float(np.max(np.abs(v))) / 8.0 + 1e-14
-    return vals, np.ones_like(xs, dtype=bool), np.full_like(xs, err)
-
-
-def _aligned_output(g: GridFunction, p: OperatorParams,
-                    n_out: int) -> int | None:
-    """Stride into g's lattice when the output grid is a sub-lattice."""
-    if g.interval != p.interval:
-        return None
-    if g.n % n_out != 0:
-        return None
-    return g.n // n_out
-
-
-def _toeplitz_apply(v: np.ndarray, slopes: np.ndarray, m0: np.ndarray,
-                    m1: np.ndarray, z_edges: np.ndarray) -> np.ndarray:
-    """sum_k v[i-1-k] m0[k] + sum_k slopes[i-1-k] (z[k+1] m0[k] - m1[k])
-    for i = 0..n, evaluated with full convolutions."""
-    w2 = z_edges[1:] * m0 - m1
-    conv_v = np.convolve(v[:-1], m0)
-    conv_s = np.convolve(slopes, w2)
-    n = v.size - 1
-    out = np.zeros(n + 1)
-    out[1:] = conv_v[:n] + conv_s[:n]
-    return out
-
-
-def _j_grid_aligned(g: GridFunction, p: OperatorParams) -> np.ndarray:
-    """First-kind integral on g's own lattice via Toeplitz kernel moments."""
-    dz = g.spacing / p.alpha
-    n = g.n
-    z_edges = dz * np.arange(n + 1)
-    M0 = e1_cumulative0_array(z_edges)
-    M1 = e1_cumulative1_array(z_edges)
-    m0 = np.diff(M0)
-    m1 = np.diff(M1)
-    v = g.values if p.side == Side.LEFT else g.values[::-1]
-    slopes = (v[1:] - v[:-1]) / g.spacing
-    out = _toeplitz_apply(v, p.alpha * slopes, m0, m1, z_edges)
-    return out if p.side == Side.LEFT else out[::-1]
-
-
-def apply_j_at(f: FunctionSpec, p: OperatorParams,
-               xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First-kind integral at arbitrary points; returns (values,
-    converged flags, error estimates)."""
-    xs = np.asarray(xs, dtype=float)
-    if isinstance(f, Grid):
-        return _j_grid_at(f.fn, p, xs)
-    vals = np.empty_like(xs)
-    conv = np.empty_like(xs, dtype=bool)
-    errs = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        vals[i], conv[i], errs[i] = _j_point_adaptive(f, p, float(x))
-    return vals, conv, errs
-
-
-def apply_j(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
-    """First-kind fractional integral on a uniform grid of n_out intervals."""
-    if n_out < 2:
-        raise ValueError(f"n_out must be at least 2, got {n_out}")
-    xs = np.linspace(p.interval.a, p.interval.b, n_out + 1)
-    if isinstance(f, Grid):
-        stride = _aligned_output(f.fn, p, n_out)
-        if stride is not None:
-            vals = _j_grid_aligned(f.fn, p)[::stride]
-            err = f.fn.spacing ** 2 * float(np.max(np.abs(f.fn.values))) / 8.0
-            return OperatorReport(GridFunction(p.interval, vals),
-                                  np.ones_like(xs, dtype=bool), err + 1e-14)
-    vals, conv, errs = apply_j_at(f, p, xs)
-    return OperatorReport(GridFunction(p.interval, vals), conv,
-                          float(np.max(errs)))
-
-
-# ---------------------------------------------------------------------------
-# second-kind operator S
-# ---------------------------------------------------------------------------
-
 _S_DELTA = 1e-3  # singular-split point for the S kernel
 
 
@@ -295,6 +161,44 @@ def _s_point_adaptive(f: FunctionSpec, p: OperatorParams,
             head_err + alpha * res.err_estimate)
 
 
+# ---------------------------------------------------------------------------
+# lattice engine: grid inputs, integrated exactly
+# ---------------------------------------------------------------------------
+# Ordered away from the side's anchor (reversed on the right), cell j of
+# the piecewise-linear carrier contributes
+#     v_j m0_j + alpha slope_j (z_far m0_j - m1_j)
+# with m0, m1 the kernel's moments over the cell's z-range and z_far the
+# z of its far node t_j.
+
+# nodes x points per off-lattice block: the E1 temporaries stay near
+# 128 KiB each, so peak memory does not grow with the number of points
+_BLOCK_ENTRIES = 2 ** 14
+
+
+def _oriented(g: GridFunction,
+              side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, values and cell slopes, ordered away from the side's anchor."""
+    t, v = g.nodes(), g.values
+    if side == Side.RIGHT:
+        t, v = t[::-1], v[::-1]
+    return t, v, (v[1:] - v[:-1]) / g.spacing
+
+
+def _cell_sum(v: np.ndarray, slopes: np.ndarray, alpha: float,
+              z_far: np.ndarray, m0: np.ndarray, m1: np.ndarray,
+              contract: Callable) -> np.ndarray:
+    """The cell weights, summed by contract(cell values, cell moments):
+    np.convolve on the lattice, np.dot off it."""
+    return contract(v[:-1], m0) + contract(alpha * slopes, z_far * m0 - m1)
+
+
+def _e1_cell_moments(dz: float, n: int,
+                     acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """E1 moments of the cells [k dz, (k+1) dz], k < n (closed; no acc)."""
+    z = dz * np.arange(n + 1)
+    return np.diff(e1_cumulative0_array(z)), np.diff(e1_cumulative1_array(z))
+
+
 @lru_cache(maxsize=32)
 def _s_cell_moments(dz: float, n: int, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
     """s_cell_moments of one lattice, cached read-only: sweeps and the
@@ -305,48 +209,109 @@ def _s_cell_moments(dz: float, n: int, acc: Accuracy) -> tuple[np.ndarray, np.nd
     return m0, m1
 
 
-def _s_grid_aligned(g: GridFunction, p: OperatorParams) -> np.ndarray:
-    """Second-kind integral on g's own lattice via Toeplitz S-moments."""
+def _lattice_apply(g: GridFunction, p: OperatorParams, cell_moments: Callable,
+                   scale: float) -> np.ndarray:
+    """scale times the integral at every node of g's own lattice, where
+    the cell moments depend only on the lag: one convolution per term."""
     dz = g.spacing / p.alpha
-    n = g.n
-    m0, m1 = _s_cell_moments(dz, n, p.acc)
-    z_edges = dz * np.arange(n + 1)
-    v = g.values if p.side == Side.LEFT else g.values[::-1]
-    slopes = (v[1:] - v[:-1]) / g.spacing
-    out = p.alpha * _toeplitz_apply(v, p.alpha * slopes, m0, m1, z_edges)
+    m0, m1 = cell_moments(dz, g.n, p.acc)
+    _, v, slopes = _oriented(g, p.side)
+    out = np.zeros(g.n + 1)
+    out[1:] = _cell_sum(v, slopes, p.alpha, dz * np.arange(1, g.n + 1),
+                        m0, m1, np.convolve)[:g.n]
+    out = scale * out
     return out if p.side == Side.LEFT else out[::-1]
 
 
-def apply_s_at(f: FunctionSpec, p: OperatorParams,
-               xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _j_off_lattice(g: GridFunction, p: OperatorParams,
+                   xs: np.ndarray) -> np.ndarray:
+    """First-kind integral at any points, all nodes against one block of
+    points at a time: z = max(+/-(x - t), 0)/alpha, and the cell moments
+    are differences of the closed E1 cumulatives along the node axis."""
+    t, v, slopes = _oriented(g, p.side)
+    sign = 1.0 if p.side == Side.LEFT else -1.0
+    cols = max(1, _BLOCK_ENTRIES // t.size)
+    vals = np.empty_like(xs)
+    for lo in range(0, xs.size, cols):
+        z = np.maximum(sign * (xs[lo:lo + cols] - t[:, None]), 0.0) / p.alpha
+        c0, c1 = e1_cumulative0_array(z), e1_cumulative1_array(z)
+        vals[lo:lo + cols] = _cell_sum(v, slopes, p.alpha, z[:-1],
+                                       c0[:-1] - c0[1:], c1[:-1] - c1[1:],
+                                       np.dot)
+    return vals
+
+
+def _s_off_lattice(g: GridFunction, p: OperatorParams,
+                   xs: np.ndarray) -> np.ndarray:
+    raise ValueError(
+        "apply_s on a grid input needs the output lattice to divide the "
+        f"input lattice (grid n={g.n}, {xs.size} output points)")
+
+
+# ---------------------------------------------------------------------------
+# the public operators
+# ---------------------------------------------------------------------------
+
+def _carrier_err(g: GridFunction) -> float:
+    """Interpolation bound of the piecewise-linear carrier."""
+    return g.spacing ** 2 * float(np.max(np.abs(g.values))) / 8.0 + 1e-14
+
+
+def _at(f: FunctionSpec, p: OperatorParams, xs: np.ndarray, point: Callable,
+        off_lattice: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Body of apply_j_at/apply_s_at: the kernel's off-lattice evaluator
+    for a grid input, else one adaptive integral per point."""
     xs = np.asarray(xs, dtype=float)
+    if isinstance(f, Grid):
+        return (off_lattice(f.fn, p, xs), np.ones_like(xs, dtype=bool),
+                np.full_like(xs, _carrier_err(f.fn)))
     vals = np.empty_like(xs)
     conv = np.empty_like(xs, dtype=bool)
     errs = np.empty_like(xs)
     for i, x in enumerate(xs):
-        vals[i], conv[i], errs[i] = _s_point_adaptive(f, p, float(x))
+        vals[i], conv[i], errs[i] = point(f, p, float(x))
     return vals, conv, errs
+
+
+def _apply(f: FunctionSpec, p: OperatorParams, n_out: int, at: Callable,
+           cell_moments: Callable, scale: float) -> OperatorReport:
+    """Body of apply_j/apply_s: the lattice engine when the output grid
+    is a sub-lattice of a grid input's, else `at` at the output nodes."""
+    if n_out < 2:
+        raise ValueError(f"n_out must be at least 2, got {n_out}")
+    xs = np.linspace(p.interval.a, p.interval.b, n_out + 1)
+    g = f.fn if isinstance(f, Grid) else None
+    if g is not None and g.interval == p.interval and g.n % n_out == 0:
+        # the output grid is a sub-lattice of the input's
+        vals = _lattice_apply(g, p, cell_moments, scale)[::g.n // n_out]
+        return OperatorReport(GridFunction(p.interval, vals),
+                              np.ones_like(xs, dtype=bool), _carrier_err(g))
+    vals, conv, errs = at(f, p, xs)
+    return OperatorReport(GridFunction(p.interval, vals), conv,
+                          float(np.max(errs)))
+
+
+def apply_j_at(f: FunctionSpec, p: OperatorParams,
+               xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-kind integral at arbitrary points; returns (values,
+    converged flags, error estimates)."""
+    return _at(f, p, xs, _j_point_adaptive, _j_off_lattice)
+
+
+def apply_j(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
+    """First-kind fractional integral on a uniform grid of n_out intervals."""
+    return _apply(f, p, n_out, apply_j_at, _e1_cell_moments, 1.0)
+
+
+def apply_s_at(f: FunctionSpec, p: OperatorParams,
+               xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second-kind integral at arbitrary points of an analytic input."""
+    return _at(f, p, xs, _s_point_adaptive, _s_off_lattice)
 
 
 def apply_s(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
     """Second-kind fractional integral on a uniform grid of n_out intervals."""
-    if n_out < 2:
-        raise ValueError(f"n_out must be at least 2, got {n_out}")
-    xs = np.linspace(p.interval.a, p.interval.b, n_out + 1)
-    if isinstance(f, Grid):
-        stride = _aligned_output(f.fn, p, n_out)
-        if stride is None:
-            raise ValueError(
-                "apply_s on a grid input needs the output lattice to divide "
-                f"the input lattice (grid n={f.fn.n}, n_out={n_out})"
-            )
-        vals = _s_grid_aligned(f.fn, p)[::stride]
-        err = f.fn.spacing ** 2 * float(np.max(np.abs(f.fn.values))) / 8.0
-        return OperatorReport(GridFunction(p.interval, vals),
-                              np.ones_like(xs, dtype=bool), err + 1e-14)
-    vals, conv, errs = apply_s_at(f, p, xs)
-    return OperatorReport(GridFunction(p.interval, vals), conv,
-                          float(np.max(errs)))
+    return _apply(f, p, n_out, apply_s_at, _s_cell_moments, p.alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,11 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
 
     Stops when the sup change drops below prob.tol; if kappa >= 1 the
     contraction guarantee does not apply and the diagnostics carry a
-    warning instead of a convergence claim by contraction.  acc reaches
-    every kernel evaluation (kappa and each T); a kernel that exceeds its
-    work budget raises RuntimeError.
+    warning instead of a convergence claim by contraction.  A diverging
+    iteration stops at its first non-finite sup change and returns the
+    last finite iterate, unconverged.  acc reaches every kernel
+    evaluation (kappa and each T); a kernel that exceeds its work budget
+    raises RuntimeError.
     """
     if u0.interval != TIME_DOMAIN or u0.n != prob.grid_n:
         raise ValueError(
@@ -143,18 +145,24 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
     u = u0.values.copy()
     sup_changes: list[float] = []
     converged = False
-    iterations = 0
-    for iterations in range(1, prob.max_iter + 1):
-        h = GridFunction(TIME_DOMAIN, -prob.lam * u + prob.rhs_values(t, u))
-        u_next = apply_t(h, prob.alpha, acc).values
-        change = float(np.max(np.abs(u_next - u)))
+    for _ in range(prob.max_iter):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                h = GridFunction(TIME_DOMAIN,
+                                 -prob.lam * u + prob.rhs_values(t, u))
+                u_next = apply_t(h, prob.alpha, acc).values
+            except ValueError:  # GridFunction: the iterate overflowed
+                break
+            change = float(np.max(np.abs(u_next - u)))
+        if not np.isfinite(change):
+            break
         sup_changes.append(change)
         u = u_next
         if change < prob.tol:
             converged = True
             break
     return (GridFunction(TIME_DOMAIN, u),
-            SolveDiagnostics(iterations, sup_changes, kappa, converged,
+            SolveDiagnostics(len(sup_changes), sup_changes, kappa, converged,
                              warning))
 
 

@@ -10,10 +10,10 @@ from fracalc.derivatives import (
     AcFunction,
     check_inversion_ds,
     d_frac_ac,
+    d_frac_at,
     d_frac_numeric,
     katr_residual,
     parts_fractional,
-    write_residuals_csv,
 )
 from fracalc.funcspec import (
     Const,
@@ -127,6 +127,14 @@ class TestNumericRoute:
         dnum = d_frac_numeric(g, left(0.7))
         assert np.max(np.abs(dnum.values)) == 0.0
 
+    @pytest.mark.parametrize("p", [left(0.3), right(0.7)],
+                             ids=["left", "right"])
+    def test_is_d_frac_at_on_interior_nodes(self, p, rng):
+        g = GridFunction(UNIT, rng.standard_normal(129))
+        dnum = d_frac_numeric(g, p)
+        dat = d_frac_at(Grid(g), p, g.nodes()[1:-1])
+        assert np.array_equal(dnum.values, dat)
+
     def test_step_guard(self):
         g = sample_spec(Sin(1.0), UNIT, 16)
         with pytest.raises(ValueError):
@@ -155,14 +163,6 @@ class TestInversion:
     def test_zero_input_noise_floor(self):
         rep = check_inversion_ds(Const(0.0), left(0.5))
         assert rep.residual < 1e-9
-
-    def test_residual_csv(self, tmp_path):
-        rows = [check_inversion_ds(Const(1.0), left(0.5))]
-        path = tmp_path / "res.csv"
-        write_residuals_csv(path, rows)
-        text = path.read_text()
-        assert text.startswith("check,side,alpha,residual,tolerance,pass")
-        assert ",true" in text
 
 
 class TestCorrectionIdentity:

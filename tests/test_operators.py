@@ -30,7 +30,6 @@ from fracalc.operators import (
     j_closed_monomial,
     j_closed_powshift,
     running_integral,
-    write_report_csv,
 )
 from fracalc.special import DEFAULT_ACCURACY, e1, s_cumulative
 
@@ -173,20 +172,61 @@ class TestApplyJ:
         assert np.max(np.abs(grid_vals - ana_vals)) < 5e-9
         assert np.all(errs >= 0.0)
 
-    def test_aligned_matches_percell(self):
-        g = sample_spec(Poly((0.3, -1.0, 2.0)), UNIT, 512)
-        p = right(0.4)
+    @pytest.mark.parametrize("interval", [UNIT, Interval(2.0, 3.5)],
+                             ids=["unit", "far"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.4, 1.0])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT],
+                             ids=["left", "right"])
+    def test_aligned_matches_percell(self, side, alpha, interval):
+        # the Toeplitz lattice path against the off-lattice evaluator
+        # at the same nodes
+        g = sample_spec(Poly((0.3, -1.0, 2.0)), interval, 512)
+        p = OperatorParams(side, alpha, interval)
         rep = apply_j(Grid(g), p, 512)
         sub, _, _ = apply_j_at(Grid(g), p, g.nodes()[::64])
-        assert np.allclose(rep.outputs.values[::64], sub, atol=1e-12)
+        assert np.allclose(rep.outputs.values[::64], sub, rtol=0.0,
+                           atol=1e-12 * np.max(np.abs(g.values)))
 
-    def test_report_csv(self, tmp_path):
-        rep = apply_j(Const(1.0), left(1.0), 4)
-        path = tmp_path / "rep.csv"
-        write_report_csv(path, rep)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,value,converged,err_estimate"
-        assert len(lines) == 6
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT],
+                             ids=["left", "right"])
+    def test_off_lattice_against_scipy(self, side, rng):
+        # per point and per cell, with scipy's exp1 in the closed E1
+        # cumulatives and f = v_j + s_j (t - t_j) taken from the left node
+        from scipy.special import exp1
+
+        def z_exp1(z):
+            out = np.zeros_like(z)
+            out[z > 0] = z[z > 0] * exp1(z[z > 0])
+            return out
+
+        def c0(z):
+            return z_exp1(z) - np.expm1(-z)
+
+        def c1(z):
+            return 0.5 * (z * z_exp1(z) - np.expm1(-z) - z * np.exp(-z))
+
+        iv = Interval(2.0, 3.5)
+        alpha = 0.3
+        g = GridFunction(iv, rng.standard_normal(97))
+        t, v = g.nodes(), g.values
+        s = np.diff(v) / g.spacing
+        xs = np.concatenate([[iv.a, iv.b, iv.a - 0.2, iv.b + 0.2],
+                             rng.uniform(iv.a, iv.b, 20)])
+        sign = -1.0 if side == Side.LEFT else 1.0
+        ref = np.zeros_like(xs)
+        for i, x in enumerate(xs):
+            lo = np.maximum(sign * (t[:-1] - x), 0.0) / alpha
+            hi = np.maximum(sign * (t[1:] - x), 0.0) / alpha
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+            # t = x + sign alpha z
+            const = v[:-1] + s * (x - t[:-1])
+            ref[i] = np.sum(const * (c0(hi) - c0(lo))
+                            + sign * alpha * s * (c1(hi) - c1(lo)))
+        vals, conv, errs = apply_j_at(Grid(g), OperatorParams(side, alpha, iv),
+                                      xs)
+        assert np.all(conv)
+        assert np.max(np.abs(vals - ref)) < 1e-12
+        assert ref[0 if side == Side.LEFT else 1] == 0.0
 
     def test_n_out_guard(self):
         with pytest.raises(ValueError):

@@ -189,6 +189,28 @@ class TestPicard:
         assert not diag.converged
         assert diag.iterations == 2
 
+    def test_divergence_stops_at_last_finite_iterate(self, tmp_path):
+        # kappa = 17.5: every sweep multiplies the iterate by about -1.5
+        # until it leaves the floating-point range
+        doc = {"alpha": 0.5, "lambda": 8,
+               "rhs": {"type": "affine", "g": "const:1", "c": -6},
+               "lipschitz_cf": 6, "grid_n": 256, "max_iter": 2000}
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(doc))
+        u, diag = solve_picard(problem_from_json(path), zeros())
+        assert not diag.converged
+        assert diag.iterations == len(diag.sup_changes) < 2000
+        assert all(math.isfinite(c) for c in diag.sup_changes)
+        assert diag.sup_changes[-1] > 1e300
+        assert np.all(np.isfinite(u.values))
+
+        from fracalc.cli import main
+        out, diag_path = tmp_path / "u.csv", tmp_path / "diag.json"
+        assert main(["relax", "--problem", str(path), "--out", str(out),
+                     "--diagnostics", str(diag_path)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 258
+        assert json.loads(diag_path.read_text())["converged"] is False
+
     def test_u0_shape_guard(self):
         prob = RelaxationProblem(alpha=0.25, lam=0.5,
                                  rhs=Autonomous(Const(0.0)))

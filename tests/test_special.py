@@ -71,12 +71,6 @@ class TestE1:
         v1, v2 = e1(x1), e1(x2)
         assert v1 > v2 > 0.0
 
-    def test_array_matches_scalar(self):
-        xs = np.array([1e-4, 0.3, 0.999, 1.0, 2.5, 17.0])
-        vec = e1_array(xs)
-        for x, v in zip(xs, vec):
-            assert v == pytest.approx(e1(float(x)), rel=1e-14)
-
 
 class TestEkAndMoments:
     def test_ek_single_term(self):
@@ -192,12 +186,6 @@ class TestVolterraKernel:
             volterra_s(0.0)
         with pytest.raises(ValueError):
             volterra_s(1e-13)
-
-    def test_array_matches_scalar(self):
-        xs = np.array([1e-6, 0.02, 0.5, 3.0, 60.0])
-        vec = volterra_s_array(xs)
-        for x, v in zip(xs, vec):
-            assert v == pytest.approx(volterra_s(float(x)), rel=1e-10)
 
     def test_saturates_to_one(self):
         assert volterra_s(50.0) == 1.0
