@@ -17,7 +17,8 @@ Numbers are printed with 15 significant digits; output is deterministic.
 The environment variable FRACALC_MAX_WORK overrides the default work
 budget (quadrature panels, trapezoid nodes); every command exits 2, with
 "<command> failed: ..." on stderr ("kernel evaluation failed: ..." for
-kernel), when a kernel evaluation would exceed it.
+kernel), when a kernel evaluation would exceed it or an operator rejects
+its input.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from . import verify
 from .derivatives import _FD_STEP_FRACTION, AcFunction, d_frac_ac, d_frac_numeric
 from .funcspec import (
+    FunctionSpec,
     Grid,
     GridFunction,
     Interval,
@@ -106,6 +108,15 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return vals
 
 
+def _parse_spec_arg(text: str) -> FunctionSpec:
+    try:
+        return parse_spec(text)
+    except FileNotFoundError as exc:
+        raise SystemExit(f"unreadable grid file: {exc.filename}")
+    except ParseError as exc:
+        raise SystemExit(f"bad function spec: {exc}")
+
+
 def _cmd_kernel(args: argparse.Namespace) -> int:
     acc = default_accuracy()
     points = _parse_floats(args.points, "points")
@@ -147,31 +158,21 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     if args.n_out < 2:
         raise SystemExit(f"n-out must be at least 2, got {args.n_out}")
     interval = _parse_interval(args.interval)
-    try:
-        spec = parse_spec(args.spec)
-    except FileNotFoundError as exc:
-        raise SystemExit(f"unreadable grid file: {exc.filename}")
-    except ParseError as exc:
-        raise SystemExit(f"bad function spec: {exc}")
+    spec = _parse_spec_arg(args.spec)
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     p = OperatorParams(side, args.alpha, interval, acc)
-    try:
-        if args.op == "j":
-            report = apply_j(spec, p, args.n_out)
-        elif args.op == "s":
-            report = apply_s(spec, p, args.n_out)
-        else:
-            if isinstance(spec, Grid):
-                out = d_frac_numeric(spec.fn, p)
-                h = interval.width / _FD_STEP_FRACTION
-                err = h * h * float(np.max(np.abs(out.values)) + 1.0)
-                report = OperatorReport(
-                    out, np.ones(out.values.size, dtype=bool), err)
-            else:
-                ac = AcFunction.from_catalog(spec, interval, side)
-                report = d_frac_ac(ac, p, args.n_out)
-    except ValueError as exc:
-        raise SystemExit(f"apply failed: {exc}")
+    if args.op == "j":
+        report = apply_j(spec, p, args.n_out)
+    elif args.op == "s":
+        report = apply_s(spec, p, args.n_out)
+    elif isinstance(spec, Grid):
+        out = d_frac_numeric(spec.fn, p)
+        h = interval.width / _FD_STEP_FRACTION
+        err = h * h * float(np.max(np.abs(out.values)) + 1.0)
+        report = OperatorReport(out, np.ones(out.values.size, dtype=bool), err)
+    else:
+        ac = AcFunction.from_catalog(spec, interval, side)
+        report = d_frac_ac(ac, p, args.n_out)
     _emit(_report_csv_text(report), args.out)
     return 0
 
@@ -190,10 +191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if any(a <= 0.0 for a in alphas):
         raise SystemExit("alpha values must be positive")
     interval = _parse_interval(args.interval)
-    try:
-        spec = parse_spec(args.spec)
-    except ParseError as exc:
-        raise SystemExit(f"bad function spec: {exc}")
+    spec = _parse_spec_arg(args.spec)
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     n = args.n
     g = spec if isinstance(spec, Grid) else Grid(sample_spec(spec, interval, n))
@@ -310,8 +308,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write(exc.code + "\n")
             return 2
         raise
-    except RuntimeError as exc:
-        # a kernel evaluation exceeded the work budget
+    except (RuntimeError, ValueError) as exc:
+        # a kernel evaluation exceeded the work budget, or an operator
+        # rejected its input (S of a grid input off its lattice)
         sys.stderr.write(f"{args.command} failed: {exc}\n")
         return 2
 

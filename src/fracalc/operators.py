@@ -13,11 +13,12 @@ at delta = 1e-3 and its head routed through the smooth cumulative Q.
 Grid inputs are integrated exactly (piecewise-linear carrier against
 closed kernel moments), which keeps the L^p norm inequalities honest at
 machine precision.  On the input's own lattice, or a sub-lattice of it,
-both kernels run as Toeplitz convolutions; J at other points is a blocked
-matrix product of closed E1 cumulative differences; S of a grid input
-exists only on its lattice.  Output at the collapsed endpoint (x = a for
-the left side) is 0 by continuity; that convention is a choice — the
-operators are only defined almost everywhere.
+both kernels run as Toeplitz convolutions, each a zero-padded real-FFT
+product in O(n log n); J at other points is a blocked matrix product of
+closed E1 cumulative differences; S of a grid input exists only on its
+lattice.  Output at the collapsed endpoint (x = a for the left side) is
+0 by continuity; that convention is a choice — the operators are only
+defined almost everywhere.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from .special import (
     DEFAULT_ACCURACY,
     e1,
     e1_array,
-    e1_cumulative0_array,
-    e1_cumulative1_array,
+    e1_cumulatives_array,
     ek,
     s_cell_moments,
     s_cumulative,
@@ -188,15 +188,24 @@ def _cell_sum(v: np.ndarray, slopes: np.ndarray, alpha: float,
               z_far: np.ndarray, m0: np.ndarray, m1: np.ndarray,
               contract: Callable) -> np.ndarray:
     """The cell weights, summed by contract(cell values, cell moments):
-    np.convolve on the lattice, np.dot off it."""
+    _fft_convolve on the lattice, np.dot off it."""
     return contract(v[:-1], m0) + contract(alpha * slopes, z_far * m0 - m1)
+
+
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The first a.size terms of the linear convolution of a and b (same
+    length n): a real-FFT product zero-padded to a power of two >= 2n - 1,
+    so no term of the full length-(2n - 1) convolution wraps around."""
+    size = 1 << (2 * a.size - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size),
+                        size)[:a.size]
 
 
 def _e1_cell_moments(dz: float, n: int,
                      acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
     """E1 moments of the cells [k dz, (k+1) dz], k < n (closed; no acc)."""
-    z = dz * np.arange(n + 1)
-    return np.diff(e1_cumulative0_array(z)), np.diff(e1_cumulative1_array(z))
+    c0, c1 = e1_cumulatives_array(dz * np.arange(n + 1))
+    return np.diff(c0), np.diff(c1)
 
 
 @lru_cache(maxsize=32)
@@ -212,13 +221,14 @@ def _s_cell_moments(dz: float, n: int, acc: Accuracy) -> tuple[np.ndarray, np.nd
 def _lattice_apply(g: GridFunction, p: OperatorParams, cell_moments: Callable,
                    scale: float) -> np.ndarray:
     """scale times the integral at every node of g's own lattice, where
-    the cell moments depend only on the lag: one convolution per term."""
+    the cell moments depend only on the lag: one FFT convolution per term,
+    O(n log n) at every n."""
     dz = g.spacing / p.alpha
     m0, m1 = cell_moments(dz, g.n, p.acc)
     _, v, slopes = _oriented(g, p.side)
     out = np.zeros(g.n + 1)
     out[1:] = _cell_sum(v, slopes, p.alpha, dz * np.arange(1, g.n + 1),
-                        m0, m1, np.convolve)[:g.n]
+                        m0, m1, _fft_convolve)
     out = scale * out
     return out if p.side == Side.LEFT else out[::-1]
 
@@ -234,7 +244,7 @@ def _j_off_lattice(g: GridFunction, p: OperatorParams,
     vals = np.empty_like(xs)
     for lo in range(0, xs.size, cols):
         z = np.maximum(sign * (xs[lo:lo + cols] - t[:, None]), 0.0) / p.alpha
-        c0, c1 = e1_cumulative0_array(z), e1_cumulative1_array(z)
+        c0, c1 = e1_cumulatives_array(z)
         vals[lo:lo + cols] = _cell_sum(v, slopes, p.alpha, z[:-1],
                                        c0[:-1] - c0[1:], c1[:-1] - c1[1:],
                                        np.dot)
@@ -279,13 +289,13 @@ def _apply(f: FunctionSpec, p: OperatorParams, n_out: int, at: Callable,
     is a sub-lattice of a grid input's, else `at` at the output nodes."""
     if n_out < 2:
         raise ValueError(f"n_out must be at least 2, got {n_out}")
-    xs = np.linspace(p.interval.a, p.interval.b, n_out + 1)
     g = f.fn if isinstance(f, Grid) else None
     if g is not None and g.interval == p.interval and g.n % n_out == 0:
         # the output grid is a sub-lattice of the input's
         vals = _lattice_apply(g, p, cell_moments, scale)[::g.n // n_out]
         return OperatorReport(GridFunction(p.interval, vals),
-                              np.ones_like(xs, dtype=bool), _carrier_err(g))
+                              np.ones(n_out + 1, dtype=bool), _carrier_err(g))
+    xs = np.linspace(p.interval.a, p.interval.b, n_out + 1)
     vals, conv, errs = at(f, p, xs)
     return OperatorReport(GridFunction(p.interval, vals), conv,
                           float(np.max(errs)))

@@ -12,7 +12,7 @@ still iterates but flags that the contraction guarantee is void.
 
 T is applied through exact product integration of the piecewise-linear
 iterate against the kernel moments (same machinery as the second-kind
-operator), which makes each sweep a single Toeplitz convolution.
+operator), which makes each sweep two FFT convolutions, O(n log n).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -79,11 +79,15 @@ class RelaxationProblem:
         elif self.lipschitz_cf != 0.0:
             raise ValueError("autonomous right-hand sides have lipschitz_cf = 0")
 
-    def rhs_values(self, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def rhs_at(self, t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """u -> f(t, u) at fixed nodes t, with g(t) evaluated once."""
+        g_t = eval_spec_array(self.rhs.g, t, TIME_DOMAIN, self.alpha)
         if isinstance(self.rhs, Autonomous):
-            return eval_spec_array(self.rhs.g, t, TIME_DOMAIN, self.alpha)
-        return (eval_spec_array(self.rhs.g, t, TIME_DOMAIN, self.alpha)
-                + self.rhs.c * u)
+            return lambda u: g_t
+        return lambda u: g_t + self.rhs.c * u
+
+    def rhs_values(self, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return self.rhs_at(t)(u)
 
 
 @dataclass
@@ -141,7 +145,7 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
         )
     kappa = contraction_constant(prob.alpha, prob.lam, prob.lipschitz_cf, acc)
     warning = kappa >= 1.0
-    t = u0.nodes()
+    rhs = prob.rhs_at(u0.nodes())
     u = u0.values.copy()
     sup_changes: list[float] = []
     converged = False
@@ -149,7 +153,7 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 h = GridFunction(TIME_DOMAIN,
-                                 -prob.lam * u + prob.rhs_values(t, u))
+                                 -prob.lam * u + rhs(u))
                 u_next = apply_t(h, prob.alpha, acc).values
             except ValueError:  # GridFunction: the iterate overflowed
                 break

@@ -162,26 +162,28 @@ def e1_moment(n: int, x: float) -> float:
     return x ** (n + 1) / (n + 1.0) * e1(x) - fac * ek(n, x) * math.exp(-x)
 
 
-def e1_cumulative0_array(z: np.ndarray) -> np.ndarray:
-    """int_0^z E1(t) dt, elementwise; z >= 0 with value 0 at z = 0."""
+def e1_cumulatives_array(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(int_0^z E1(t) dt, int_0^z t E1(t) dt), elementwise from one E1
+    evaluation; z >= 0 with both values 0 at z = 0."""
     z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
+    c0, c1 = np.zeros_like(z), np.zeros_like(z)
     pos = z > 0.0
     if np.any(pos):
         zp = z[pos]
-        out[pos] = zp * e1_array(zp) - np.expm1(-zp)
-    return out
+        e = e1_array(zp)
+        c0[pos] = zp * e - np.expm1(-zp)
+        c1[pos] = 0.5 * (zp * zp * e + _lower_gamma2(zp))
+    return c0, c1
+
+
+def e1_cumulative0_array(z: np.ndarray) -> np.ndarray:
+    """int_0^z E1(t) dt, elementwise; z >= 0 with value 0 at z = 0."""
+    return e1_cumulatives_array(z)[0]
 
 
 def e1_cumulative1_array(z: np.ndarray) -> np.ndarray:
     """int_0^z t E1(t) dt, elementwise; z >= 0 with value 0 at z = 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    pos = z > 0.0
-    if np.any(pos):
-        zp = z[pos]
-        out[pos] = 0.5 * (zp * zp * e1_array(zp) + _lower_gamma2(zp))
-    return out
+    return e1_cumulatives_array(z)[1]
 
 
 def _lower_gamma2(b: np.ndarray) -> np.ndarray:

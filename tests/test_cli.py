@@ -10,7 +10,7 @@ import pytest
 
 import fracalc
 from fracalc.cli import main
-from fracalc.funcspec import Interval
+from fracalc.funcspec import Interval, Sin, sample_spec, write_grid_csv
 from fracalc.operators import OperatorParams, Side, j_closed_constant
 
 
@@ -126,6 +126,31 @@ class TestSweep:
         s_dist = [float(r[2]) for r in rows]
         assert j_dist[1] < j_dist[0]
         assert s_dist[1] < s_dist[0]
+
+    def test_grid_off_its_lattice_exits_2(self, tmp_path, capsys):
+        # S of a grid input exists only on its own lattice; a sweep
+        # interval other than the grid's must fail like apply does
+        g = sample_spec(Sin(3.0), Interval(0.0, 1.0), 64)
+        write_grid_csv(tmp_path / "g.csv", g)
+        spec = f"grid:{tmp_path / 'g.csv'}"
+        code, out, err = run_main(
+            ["sweep", "--spec", spec, "--alpha-list", "0.5",
+             "--interval", "0,2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sweep failed: apply_s on a grid input")
+        code, _, err = run_main(
+            ["apply", "--op", "s", "--side", "left", "--alpha", "0.5",
+             "--spec", spec, "--interval", "0,2", "--n-out", "64"], capsys)
+        assert code == 2
+        assert err.startswith("apply failed: apply_s on a grid input")
+
+    def test_missing_grid_file_exits_2(self, capsys):
+        code, _, err = run_main(
+            ["sweep", "--spec", "grid:/nonexistent/g.csv", "--alpha-list",
+             "0.5"], capsys)
+        assert code == 2
+        assert "/nonexistent/g.csv" in err
 
 
 class TestRelax:

@@ -20,6 +20,8 @@ from fracalc.funcspec import (
 from fracalc.operators import (
     OperatorParams,
     Side,
+    _e1_cell_moments,
+    _oriented,
     _s_cell_moments,
     apply_j,
     apply_j_at,
@@ -285,6 +287,54 @@ class TestApplyS:
         assert info.currsize == size
         _s_cell_moments(0.5, 2, DEFAULT_ACCURACY)  # the oldest was evicted
         assert _s_cell_moments.cache_info().misses == info.misses + 1
+
+
+def _direct_lattice(g, p, cell_moments, scale):
+    """The aligned apply by a direct np.convolve of the same oriented cell
+    terms, and the sum of the terms' absolute values at each node."""
+    dz = g.spacing / p.alpha
+    m0, m1 = cell_moments(dz, g.n, p.acc)
+    _, v, slopes = _oriented(g, p.side)
+    a, b = v[:-1], p.alpha * slopes
+    w = dz * np.arange(1, g.n + 1) * m0 - m1
+    ref, mag = np.zeros(g.n + 1), np.zeros(g.n + 1)
+    ref[1:] = scale * (np.convolve(a, m0) + np.convolve(b, w))[:g.n]
+    mag[1:] = scale * (np.convolve(np.abs(a), np.abs(m0))
+                       + np.convolve(np.abs(b), np.abs(w)))[:g.n]
+    if p.side == Side.RIGHT:
+        return ref[::-1], mag[::-1]
+    return ref, mag
+
+
+class TestLatticeFFT:
+    @pytest.mark.parametrize("kernel", ["j", "s"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.4, 1.0])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT],
+                             ids=["left", "right"])
+    @pytest.mark.parametrize("n", [1000, 4096, 8192])
+    def test_matches_direct_convolution(self, n, side, alpha, kernel):
+        # the FFT product is free of wrap-around at every node, including
+        # an n that is not a power of two; its rounding error is absolute,
+        # on the scale of the largest sum of |terms| (observed 1.1e-16)
+        g = GridFunction(UNIT, np.random.default_rng(n).standard_normal(n + 1))
+        p = OperatorParams(side, alpha, UNIT)
+        if kernel == "j":
+            out = apply_j(Grid(g), p, n).outputs.values
+            ref, mag = _direct_lattice(g, p, _e1_cell_moments, 1.0)
+        else:
+            out = apply_s(Grid(g), p, n).outputs.values
+            ref, mag = _direct_lattice(g, p, _s_cell_moments, alpha)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(mag)
+
+    @pytest.mark.parametrize("values", ["normal", "ones"])
+    def test_first_kind_linf_non_expansion(self, values):
+        # the L-infinity bound of perfbench/checks.py; on ones it is tight
+        # to about 1e-10, the E1 mass beyond z = 1/alpha
+        n = 4096
+        v = (np.random.default_rng(5).standard_normal(n + 1)
+             if values == "normal" else np.ones(n + 1))
+        jv = apply_j(Grid(GridFunction(UNIT, v)), left(0.05), n).outputs.values
+        assert np.max(np.abs(jv)) <= np.max(np.abs(v)) * (1.0 + 1e-12)
 
 
 class TestRunningIntegral:
