@@ -40,7 +40,7 @@ from .operators import (
     apply_j_at,
     apply_s,
 )
-from .special import e1_array, e1_s_convolution
+from .special import e1_array, e1_s_convolution_array
 
 _FD_STEP_FRACTION = 4096  # default central-difference step (b-a)/4096
 
@@ -218,8 +218,7 @@ def katr_residual(f: FunctionSpec, p: OperatorParams,
         # the boundary kernel term of the derivative turns into the
         # E1*S convolution under S; sign follows the derivative's
         sign = 1.0 if p.side == Side.LEFT else -1.0
-        conv = np.array([e1_s_convolution(float(r), p.acc)
-                         for r in p.reduced(xs)])
+        conv = e1_s_convolution_array(p.reduced(xs), p.acc)
         pipeline = pipeline + sign * ac.boundary_value * conv
     target = eval_spec_array(f, xs, p.interval, p.alpha)
     if p.side == Side.RIGHT:

@@ -8,17 +8,19 @@ after the substitution z = (x - t)/alpha:
     (S f)(x) = alpha int_0^Z S(z) f(x -/+ alpha z) dz,   Z = reduced x
 
 Analytic inputs run through the adaptive engine with the kernel's log
-singularity declared; the S kernel's non-removable singularity is split
-at delta = 1e-3 and its head routed through the smooth cumulative Q.
-Grid inputs are integrated exactly (piecewise-linear carrier against
+singularity declared, as one batch over all output points: one integrand
+call per refinement round across all of them.  The S kernel's
+non-removable singularity is split at delta = 1e-3 and its head routed
+through the smooth cumulative Q.  Grid inputs are integrated exactly (piecewise-linear carrier against
 closed kernel moments), which keeps the L^p norm inequalities honest at
 machine precision.  On the input's own lattice, or a sub-lattice of it,
 both kernels run as Toeplitz convolutions, each a zero-padded real-FFT
 product in O(n log n); J at other points is a blocked matrix product of
-closed E1 cumulative differences; S of a grid input exists only on its
-lattice.  Output at the collapsed endpoint (x = a for the left side) is
-0 by continuity; that convention is a choice — the operators are only
-defined almost everywhere.
+closed E1 cumulative differences over [a, x] (left) or [x, b] (right),
+so the grid must cover the operator interval; S of a grid input exists
+only on its lattice.  Output at the collapsed endpoint (x = a for the
+left side) is 0 by continuity; that convention is a choice — the
+operators are only defined almost everywhere.
 """
 
 from __future__ import annotations
@@ -39,18 +41,16 @@ from .funcspec import (
     eval_spec_array,
     singular_endpoint,
 )
-from .quadrature import Integrand, Singularity, integrate
+from .quadrature import QuadResult, Singularity, integrate_batch
 from .special import (
     Accuracy,
     CONSTANTS,
     DEFAULT_ACCURACY,
-    e1,
     e1_array,
     e1_cumulatives_array,
     ek,
     s_cell_moments,
-    s_cumulative,
-    s_first_moment,
+    s_head_moments,
     volterra_s_array,
 )
 
@@ -87,7 +87,7 @@ class OperatorReport:
 
 
 # ---------------------------------------------------------------------------
-# analytic inputs: one adaptive integral per output point
+# analytic inputs: one adaptive batch over all output points
 # ---------------------------------------------------------------------------
 
 def _clip_pos(z: np.ndarray) -> np.ndarray:
@@ -103,62 +103,67 @@ def _far_end_singular(f: FunctionSpec, p: OperatorParams) -> bool:
     return (end == "a") if p.side == Side.LEFT else (end == "b")
 
 
-def _shifted_arg(p: OperatorParams, x: float, z: np.ndarray) -> np.ndarray:
+def _f_along(f: FunctionSpec, p: OperatorParams, x: np.ndarray,
+             z: np.ndarray) -> np.ndarray:
+    """f at t = x -/+ alpha z, kept inside [a, x] (left) or [x, b]."""
     if p.side == Side.LEFT:
-        t = x - p.alpha * z
-        return np.clip(t, p.interval.a, x)
-    t = x + p.alpha * z
-    return np.clip(t, x, p.interval.b)
+        t = np.clip(x - p.alpha * z, p.interval.a, x)
+    else:
+        t = np.clip(x + p.alpha * z, x, p.interval.b)
+    return eval_spec_array(f, t, p.interval, p.alpha)
 
 
-def _j_point_adaptive(f: FunctionSpec, p: OperatorParams,
-                      x: float) -> tuple[float, bool, float]:
-    Z = float(p.reduced(x))
-    if Z <= 0.0:
-        return 0.0, True, 0.0
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        t = _shifted_arg(p, x, z)
-        return e1_array(_clip_pos(z)) * eval_spec_array(f, t, p.interval, p.alpha)
+def _kernel_batch(f: FunctionSpec, p: OperatorParams, x: np.ndarray,
+                  z_lo: np.ndarray, z_hi: np.ndarray,
+                  kernel: Callable) -> QuadResult:
+    """The integrals of kernel(z) f(x_i -/+ alpha z) over (z_lo_i, z_hi_i),
+    one adaptive batch for all points."""
+    def integrand(z: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return kernel(_clip_pos(z)) * _f_along(f, p, x[owner], z)
 
     marker = Singularity.LOG_BOTH if _far_end_singular(f, p) else Singularity.LOG_LEFT
-    res = integrate(Integrand(integrand, marker), 0.0, Z, p.acc)
-    return res.value, res.converged, res.err_estimate
+    return integrate_batch(integrand, z_lo, z_hi, marker, p.acc)
+
+
+def _j_analytic(f: FunctionSpec, p: OperatorParams,
+                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    Z = p.reduced(xs)
+    on = Z > 0.0
+    vals, errs = np.zeros_like(xs), np.zeros_like(xs)
+    conv = np.ones_like(xs, dtype=bool)
+    res = _kernel_batch(f, p, xs[on], 0.0, Z[on], e1_array)
+    vals[on], conv[on], errs[on] = res.value, res.converged, res.err_estimate
+    return vals, conv, errs
 
 
 _S_DELTA = 1e-3  # singular-split point for the S kernel
 
 
-def _s_point_adaptive(f: FunctionSpec, p: OperatorParams,
-                      x: float) -> tuple[float, bool, float]:
-    Z = float(p.reduced(x))
-    if Z <= 0.0:
-        return 0.0, True, 0.0
+def _s_analytic(f: FunctionSpec, p: OperatorParams,
+                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    Z = p.reduced(xs)
+    on = Z > 0.0
+    x, Z = xs[on], Z[on]
     alpha = p.alpha
-    delta = min(Z, _S_DELTA)
-
-    def g_vals(z: np.ndarray) -> np.ndarray:
-        t = _shifted_arg(p, x, z)
-        return eval_spec_array(f, t, p.interval, alpha)
-
-    g0, gm, gd = g_vals(np.array([0.0, 0.5 * delta, delta]))
-    q_head = s_cumulative(delta, p.acc)
-    b_head = s_first_moment(delta, p.acc)
+    delta = np.minimum(Z, _S_DELTA)
+    g0, gm, gd = _f_along(f, p, np.tile(x, 3),
+                          np.concatenate([0.0 * delta, 0.5 * delta, delta])
+                          ).reshape(3, x.size)
+    q_head, b_head = s_head_moments(delta, p.acc)
     # linear-in-z head; the residual is bounded by the deviation of the
     # midpoint from the chord (second-order oscillation of f)
     head = alpha * (g0 * q_head + (gd - g0) / delta * b_head)
     head_err = alpha * 2.0 * abs(gm - 0.5 * (g0 + gd)) * q_head
-
-    if Z <= delta:
-        return head, True, head_err
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        return volterra_s_array(_clip_pos(z), p.acc) * g_vals(z)
-
-    marker = Singularity.LOG_BOTH if _far_end_singular(f, p) else Singularity.LOG_LEFT
-    res = integrate(Integrand(integrand, marker), delta, Z, p.acc)
-    return (head + alpha * res.value, res.converged,
-            head_err + alpha * res.err_estimate)
+    body = Z > delta
+    res = _kernel_batch(f, p, x[body], delta[body], Z[body],
+                        lambda z: volterra_s_array(z, p.acc))
+    head[body] += alpha * res.value
+    head_err[body] += alpha * res.err_estimate
+    vals, errs = np.zeros_like(xs), np.zeros_like(xs)
+    conv = np.ones_like(xs, dtype=bool)
+    vals[on], errs[on] = head, head_err
+    conv[np.nonzero(on)[0][body]] = res.converged
+    return vals, conv, errs
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +241,22 @@ def _lattice_apply(g: GridFunction, p: OperatorParams, cell_moments: Callable,
 def _j_off_lattice(g: GridFunction, p: OperatorParams,
                    xs: np.ndarray) -> np.ndarray:
     """First-kind integral at any points, all nodes against one block of
-    points at a time: z = max(+/-(x - t), 0)/alpha, and the cell moments
-    are differences of the closed E1 cumulatives along the node axis."""
+    points at a time: z = max(+/-(x - t), 0)/alpha clipped to the reduced
+    coordinate of x, so only [a, x] (left) or [x, b] (right) counts and
+    the anchor cell is partial; the cell moments are differences of the
+    closed E1 cumulatives along the node axis."""
+    if not (g.interval.a <= p.interval.a and p.interval.b <= g.interval.b):
+        raise ValueError(
+            f"grid input on [{g.interval.a:g}, {g.interval.b:g}] does not "
+            f"cover the operator interval [{p.interval.a:g}, {p.interval.b:g}]")
     t, v, slopes = _oriented(g, p.side)
     sign = 1.0 if p.side == Side.LEFT else -1.0
     cols = max(1, _BLOCK_ENTRIES // t.size)
     vals = np.empty_like(xs)
     for lo in range(0, xs.size, cols):
-        z = np.maximum(sign * (xs[lo:lo + cols] - t[:, None]), 0.0) / p.alpha
-        c0, c1 = e1_cumulatives_array(z)
+        x = xs[lo:lo + cols]
+        z = np.maximum(sign * (x - t[:, None]), 0.0) / p.alpha
+        c0, c1 = e1_cumulatives_array(np.minimum(z, np.maximum(p.reduced(x), 0.0)))
         vals[lo:lo + cols] = _cell_sum(v, slopes, p.alpha, z[:-1],
                                        c0[:-1] - c0[1:], c1[:-1] - c1[1:],
                                        np.dot)
@@ -267,20 +279,15 @@ def _carrier_err(g: GridFunction) -> float:
     return g.spacing ** 2 * float(np.max(np.abs(g.values))) / 8.0 + 1e-14
 
 
-def _at(f: FunctionSpec, p: OperatorParams, xs: np.ndarray, point: Callable,
+def _at(f: FunctionSpec, p: OperatorParams, xs: np.ndarray, analytic: Callable,
         off_lattice: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Body of apply_j_at/apply_s_at: the kernel's off-lattice evaluator
-    for a grid input, else one adaptive integral per point."""
+    for a grid input, else one adaptive batch over the points."""
     xs = np.asarray(xs, dtype=float)
     if isinstance(f, Grid):
         return (off_lattice(f.fn, p, xs), np.ones_like(xs, dtype=bool),
                 np.full_like(xs, _carrier_err(f.fn)))
-    vals = np.empty_like(xs)
-    conv = np.empty_like(xs, dtype=bool)
-    errs = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        vals[i], conv[i], errs[i] = point(f, p, float(x))
-    return vals, conv, errs
+    return analytic(f, p, xs)
 
 
 def _apply(f: FunctionSpec, p: OperatorParams, n_out: int, at: Callable,
@@ -305,7 +312,7 @@ def apply_j_at(f: FunctionSpec, p: OperatorParams,
                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First-kind integral at arbitrary points; returns (values,
     converged flags, error estimates)."""
-    return _at(f, p, xs, _j_point_adaptive, _j_off_lattice)
+    return _at(f, p, xs, _j_analytic, _j_off_lattice)
 
 
 def apply_j(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
@@ -316,7 +323,7 @@ def apply_j(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
 def apply_s_at(f: FunctionSpec, p: OperatorParams,
                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Second-kind integral at arbitrary points of an analytic input."""
-    return _at(f, p, xs, _s_point_adaptive, _s_off_lattice)
+    return _at(f, p, xs, _s_analytic, _s_off_lattice)
 
 
 def apply_s(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
@@ -345,25 +352,17 @@ def running_integral(f: FunctionSpec, interval: Interval, side: Side,
         vals = np.interp(xs, nodes, cum)
         # exact for the piecewise-linear carrier at its own nodes
     else:
-        vals = np.zeros_like(xs)
-        marker = Singularity.NONE
         end = singular_endpoint(f)
+        markers = [Singularity.NONE] * n_out
+        if end == "a":
+            markers[0] = Singularity.LOG_LEFT
+        if end == "b":
+            markers[-1] = Singularity.LOG_RIGHT
         acc_seg = Accuracy(acc.abs_tol / n_out, acc.rel_tol, acc.max_work)
-        total = 0.0
-        for i in range(1, xs.size):
-            lo, hi = xs[i - 1], xs[i]
-            seg_marker = marker
-            if end == "a" and i == 1:
-                seg_marker = Singularity.LOG_LEFT
-            if end == "b" and i == xs.size - 1:
-                seg_marker = Singularity.LOG_RIGHT
-            res = integrate(
-                Integrand(lambda t: eval_spec_array(f, t, interval, alpha),
-                          seg_marker),
-                lo, hi, acc_seg,
-            )
-            total += res.value
-            vals[i] = total
+        res = integrate_batch(
+            lambda t, owner: eval_spec_array(f, t, interval, alpha),
+            xs[:-1], xs[1:], markers, acc_seg)
+        vals = np.concatenate([[0.0], np.cumsum(res.value)])
     if side == Side.RIGHT:
         vals = vals[-1] - vals
     return GridFunction(interval, vals)
@@ -373,29 +372,43 @@ def running_integral(f: FunctionSpec, interval: Interval, side: Side,
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _bracket(k: int, r: float) -> float:
-    """int_0^r z^k E1(z) dz scaled by (k+1)/k!... kept in the reference
-    shape: r^(k+1) E1(r)/(k+1) - k!/(k+1) e_k(r) e^(-r) + k!/(k+1)."""
+def _closed(p: OperatorParams, x, form: Callable):
+    """A closed form at x, a float or an array: form(x, r, E1(r)) where
+    the reduced coordinate r is positive, 0 where it is not, from one
+    E1 evaluation."""
+    x = np.asarray(x, dtype=float)
+    r = p.reduced(x)
+    out = np.zeros_like(r)
+    pos = r > 0.0
+    if np.any(pos):
+        out[pos] = form(x[pos], r[pos], e1_array(r[pos]))
+    return float(out) if out.ndim == 0 else out
+
+
+def _bracket(k: int, r: np.ndarray, e1r: np.ndarray) -> np.ndarray:
+    """int_0^r z^k E1(z) dz, with e1r = E1(r):
+    r^(k+1) E1(r)/(k+1) - k!/(k+1) e_k(r) e^(-r) + k!/(k+1)."""
     fac = math.factorial(k) / (k + 1.0)
-    if r == 0.0:
-        return 0.0
-    return (r ** (k + 1) * e1(r) / (k + 1.0)
-            - fac * ek(k, r) * math.exp(-r) + fac)
+    return r ** (k + 1) * e1r / (k + 1.0) - fac * ek(k, r) * np.exp(-r) + fac
 
 
-def j_closed_constant(C: float, p: OperatorParams, x: float) -> float:
+def j_closed_constant(C: float, p: OperatorParams, x):
     """First-kind integral of the constant C:
     C [ r E1(r) - exp(-r) + 1 ], r the reduced coordinate."""
-    r = float(p.reduced(x))
-    if r <= 0.0:
-        return 0.0
-    return C * (r * e1(r) - math.exp(-r) + 1.0)
+    return _closed(p, x, lambda x, r, e: C * (r * e - np.exp(-r) + 1.0))
 
 
 _MAX_CLOSED_N = 20
 
 
-def j_closed_monomial(n: int, p: OperatorParams, x: float) -> float:
+def _check_order(n: int, what: str) -> None:
+    if n < 0:
+        raise ValueError(f"{what} order must be >= 0, got {n}")
+    if n > _MAX_CLOSED_N:
+        raise ValueError(f"{what} closed form supports n <= {_MAX_CLOSED_N}")
+
+
+def j_closed_monomial(n: int, p: OperatorParams, x):
     """First-kind integral of t^n.
 
     Left: sum_k (-alpha)^k C(n,k) x^(n-k) B_k(r); right mirrors with
@@ -404,40 +417,27 @@ def j_closed_monomial(n: int, p: OperatorParams, x: float) -> float:
     is forced by B_k(0) = 0 (the k = 0 case reduces to the constant
     closed form, and every closed form must vanish at the base point).
     """
-    if n < 0:
-        raise ValueError(f"monomial order must be >= 0, got {n}")
-    if n > _MAX_CLOSED_N:
-        raise ValueError(f"monomial closed form supports n <= {_MAX_CLOSED_N}")
-    r = float(p.reduced(x))
-    if r <= 0.0:
-        return 0.0
+    _check_order(n, "monomial")
     sign = -1.0 if p.side == Side.LEFT else 1.0
-    total = 0.0
-    for k in range(n + 1):
-        coeff = (sign * p.alpha) ** k * math.comb(n, k) * x ** (n - k)
-        total += coeff * _bracket(k, r)
-    return total
+    return _closed(p, x, lambda x, r, e: sum(
+        (sign * p.alpha) ** k * math.comb(n, k) * x ** (n - k) * _bracket(k, r, e)
+        for k in range(n + 1)))
 
 
-def j_closed_powshift(n: int, p: OperatorParams, x: float) -> float:
+def j_closed_powshift(n: int, p: OperatorParams, x):
     """First-kind integral of (t-a)^n (left) or (b-t)^n (right); both
     sides carry (-alpha)^k because the shifted base tracks the kernel."""
-    if n < 0:
-        raise ValueError(f"power order must be >= 0, got {n}")
-    if n > _MAX_CLOSED_N:
-        raise ValueError(f"powshift closed form supports n <= {_MAX_CLOSED_N}")
-    r = float(p.reduced(x))
-    if r <= 0.0:
-        return 0.0
-    base = (x - p.interval.a) if p.side == Side.LEFT else (p.interval.b - x)
-    total = 0.0
-    for k in range(n + 1):
-        coeff = (-p.alpha) ** k * math.comb(n, k) * base ** (n - k)
-        total += coeff * _bracket(k, r)
-    return total
+    _check_order(n, "powshift")
+
+    def form(x, r, e):
+        base = (x - p.interval.a) if p.side == Side.LEFT else (p.interval.b - x)
+        return sum((-p.alpha) ** k * math.comb(n, k) * base ** (n - k)
+                   * _bracket(k, r, e) for k in range(n + 1))
+
+    return _closed(p, x, form)
 
 
-def j_closed_e1kernel(p: OperatorParams, x: float) -> float:
+def j_closed_e1kernel(p: OperatorParams, x):
     """First-kind integral of the matching E1 kernel (self-convolution):
 
     2 (g + ln r) e^(-r) + 2 (1 - g r - r ln r) E1(r)
@@ -447,20 +447,23 @@ def j_closed_e1kernel(p: OperatorParams, x: float) -> float:
     logarithm diverges); the alternating series is summed to 1e-15 so the
     closed form holds to ~1e-10 for r up to ~30.
     """
-    r = float(p.reduced(x))
-    if r <= 0.0:
+    if np.any(p.reduced(x) <= 0.0):
         raise ValueError("the E1-kernel closed form needs x strictly inside")
-    g = CONSTANTS.euler_gamma
-    lnr = math.log(r)
-    series = 0.0
-    term = 1.0
-    for m in range(1, 400):
-        term *= -r / m
-        inc = term / (m * m)
-        series += inc
-        if abs(inc) < 1e-15 * max(1.0, abs(series)):
-            break
-    return (2.0 * (g + lnr) * math.exp(-r)
-            + 2.0 * (1.0 - g * r - r * lnr) * e1(r)
-            - r * (CONSTANTS.zeta2 + (g + lnr) ** 2)
-            - 2.0 * r * series)
+
+    def form(x, r, e):
+        g = CONSTANTS.euler_gamma
+        lnr = np.log(r)
+        series = np.zeros_like(r)
+        term = np.ones_like(r)
+        for m in range(1, 400):
+            term *= -r / m
+            inc = term / (m * m)
+            series += inc
+            if np.all(np.abs(inc) < 1e-15 * np.maximum(1.0, np.abs(series))):
+                break
+        return (2.0 * (g + lnr) * np.exp(-r)
+                + 2.0 * (1.0 - g * r - r * lnr) * e
+                - r * (CONSTANTS.zeta2 + (g + lnr) ** 2)
+                - 2.0 * r * series)
+
+    return _closed(p, x, form)

@@ -1,12 +1,18 @@
 """Adaptive integration engine shared by all operator evaluations.
 
 Global adaptive bisection with the embedded Gauss-Kronrod 7/15 pair
-(QK15 of QUADPACK, Piessens et al. 1983): each panel makes one integrand
-call on the 15 Kronrod nodes, its value is the Kronrod sum and its error
-estimate |K15 - G7|, where the Gauss 7-point sum reuses the values at 7 of
-those nodes.  Integrands are vector-only.  Declared singular endpoints are
-seeded with geometrically graded panels (ratio 1/4, at least 12 levels).
-Semi-infinite integrals map (a, inf) onto (0, 1) via t = a + u/(1-u).
+(QK15 of QUADPACK, Piessens et al. 1983): a panel's value is the Kronrod
+sum on its 15 nodes and its error estimate |K15 - G7|, where the Gauss
+7-point sum reuses the values at 7 of those nodes, but never less than
+the rounding of the Kronrod sum itself.  integrate_batch
+refines many integrals together in rounds: each round splits, in every
+integral still above its tolerance, the panels whose error exceeds that
+integral's share of it, and evaluates all new panels of all integrals in
+one integrand call.  Integrands are vector-only.  Declared singular
+endpoints are seeded with geometrically graded panels (ratio 1/4, at
+least 12 levels).  Semi-infinite integrals map (a, inf) onto (0, 1) via
+t = a + u/(1-u).  integrate, integrate_semi_infinite and laplace are
+batches of one.
 
 Non-convergence is reported through QuadResult.converged rather than
 raised: operator sweeps over many output points aggregate the flags.
@@ -14,10 +20,9 @@ raised: operator sweeps over many output points aggregate the flags.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +63,8 @@ _K15_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
 _G7_WEIGHTS = np.zeros(15)
 _G7_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 
+_EPS = np.finfo(float).eps
+
 _GRADE_RATIO = 0.25
 _GRADE_LEVELS = 12
 _GRADE_LEVELS_TAIL = 18
@@ -78,8 +85,8 @@ class Integrand:
     """Real-to-real integrand on an open interval.
 
     f maps an array of nodes to the array of its values, of the same
-    shape; the engine calls it once per panel, on 15 nodes.  Integrands
-    carrying the integrable-at-left marker must supply
+    shape; the engine calls it once per refinement round, on 15 nodes per
+    new panel.  Integrands carrying the integrable-at-left marker must supply
     cumulative_from_left (the exact cumulative integral from the singular
     endpoint, anchored at 0) and first_moment_from_left; the engine cannot
     otherwise reach the mass sitting below floating-point resolution.
@@ -93,77 +100,134 @@ class Integrand:
 
 @dataclass
 class QuadResult:
-    value: float
-    err_estimate: float
-    panels_used: int
-    converged: bool
+    """Value, error estimate, panel count and converged flag: floats from
+    integrate and its relatives, one array entry per integral from
+    integrate_batch."""
+
+    value: float | np.ndarray
+    err_estimate: float | np.ndarray
+    panels_used: int | np.ndarray
+    converged: bool | np.ndarray
 
 
-def _panel_estimate(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
+def _seed_fractions(marker: Singularity, levels: int) -> np.ndarray:
+    """Seed panel edges on (0, 1): geometric grading (ratio 1/4) toward a
+    declared log endpoint, from both ends to the middle for LOG_BOTH, and
+    8 equal panels otherwise."""
+    g = _GRADE_RATIO ** np.arange(levels, 0, -1.0)
+    if marker == Singularity.LOG_LEFT:
+        return np.concatenate([[0.0], g, [1.0]])
+    if marker == Singularity.LOG_RIGHT:
+        return np.concatenate([[0.0], 1.0 - g[::-1], [1.0]])
+    if marker == Singularity.LOG_BOTH:
+        return np.concatenate([[0.0], 0.5 * g, [0.5], 1.0 - 0.5 * g[::-1], [1.0]])
+    return np.linspace(0.0, 1.0, 9)
+
+
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
+            owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and error estimates of the panels [lo, hi], from one
+    integrand call on all their nodes."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    vals = f.f(mid + half * _K15_NODES)
-    k15 = half * float(vals @ _K15_WEIGHTS)
-    g7 = half * float(vals @ _G7_WEIGHTS)
-    return k15, abs(k15 - g7)
+    nodes = mid[:, None] + half[:, None] * _K15_NODES
+    vals = f(nodes.ravel(), np.repeat(owner, _K15_NODES.size))
+    vals = vals.reshape(nodes.shape)
+    k15 = half * (vals @ _K15_WEIGHTS)
+    # no estimate below the rounding of the panel's own sum, which the
+    # order of the summation alone can move by as much
+    rounding = _EPS * np.abs(half) * (np.abs(vals) @ _K15_WEIGHTS)
+    return k15, np.maximum(np.abs(k15 - half * (vals @ _G7_WEIGHTS)), rounding)
 
 
-def _graded_edges(a: float, b: float, toward_left: bool, levels: int) -> list[float]:
-    width = b - a
-    offsets = [width * _GRADE_RATIO ** k for k in range(levels, 0, -1)]
-    if toward_left:
-        return [a] + [a + off for off in offsets] + [b]
-    return [a] + [b - off for off in reversed(offsets)] + [b]
+def _seed_panels(a: np.ndarray, b: np.ndarray, markers: list[Singularity],
+                 levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seed panels of every integral: _seed_fractions mapped onto
+    (a_i, b_i), with the ends kept exact."""
+    lo, hi, owner = [], [], []
+    for marker in dict.fromkeys(markers):
+        idx = np.nonzero([m == marker for m in markers])[0]
+        frac = _seed_fractions(marker, levels)
+        edges = a[idx, None] + (b - a)[idx, None] * frac
+        edges[:, 0], edges[:, -1] = a[idx], b[idx]
+        lo.append(edges[:, :-1].ravel())
+        hi.append(edges[:, 1:].ravel())
+        owner.append(np.repeat(idx, frac.size - 1))
+    return np.concatenate(lo), np.concatenate(hi), np.concatenate(owner)
 
 
-def _initial_edges(a: float, b: float, marker: Singularity, levels: int) -> list[float]:
-    if marker == Singularity.LOG_LEFT:
-        return _graded_edges(a, b, True, levels)
-    if marker == Singularity.LOG_RIGHT:
-        return _graded_edges(a, b, False, levels)
-    if marker == Singularity.LOG_BOTH:
-        mid = 0.5 * (a + b)
-        left = _graded_edges(a, mid, True, levels)
-        right = _graded_edges(mid, b, False, levels)
-        return left + right[1:]
-    return list(np.linspace(a, b, 9))
+def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    a, b, marker: Singularity | Sequence[Singularity]
+                    = Singularity.NONE, acc: Accuracy = DEFAULT_ACCURACY,
+                    levels: int = _GRADE_LEVELS) -> QuadResult:
+    """Adaptive integrals of f over (a_i, b_i), refined together.
 
-
-def _adaptive(f: Integrand, edges: list[float], acc: Accuracy) -> QuadResult:
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    counter = 0
-    total_val = 0.0
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel_estimate(f, lo, hi)
-        total_val += val
-        total_err += err
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-
-    min_width = 1e-15 * max(abs(edges[0]), abs(edges[-1]), 1.0)
-    while len(heap) < acc.max_work:
-        if total_err <= acc.tolerance(total_val):
+    f(nodes, owner) returns the integrand at nodes[k] of the integral
+    owner[k].  marker is one declared endpoint behaviour for all integrals
+    or one per integral.  Each round, every integral above
+    acc.tolerance(value) splits the panels whose error exceeds
+    tolerance/panels (at least one does), worst first up to acc.max_work
+    panels; a panel too narrow to split keeps its value and leaves the
+    error estimate.  The new panels of all integrals are evaluated in one
+    call of f.  The decisions of one integral read only its own panels,
+    so its result does not depend on the rest of the batch.  Returns
+    arrays, one entry per integral.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float).ravel(),
+                               np.asarray(b, dtype=float).ravel())
+    if not np.all(a < b):
+        raise ValueError("integrate requires a < b for every integral")
+    m = a.size
+    if m == 0:
+        return QuadResult(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int),
+                          np.ones(0, dtype=bool))
+    markers = [marker] * m if isinstance(marker, Singularity) else list(marker)
+    lo, hi, owner = _seed_panels(a, b, markers, levels)
+    val, err = _panels(f, lo, hi, owner)
+    min_width = 1e-15 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    while True:
+        count = np.bincount(owner, minlength=m)
+        total = np.bincount(owner, val, m)
+        total_err = np.bincount(owner, err, m)
+        tol = np.maximum(acc.abs_tol, acc.rel_tol * np.abs(total))
+        active = (total_err > tol) & (count < acc.max_work)
+        if not np.any(active):
             break
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
-        if hi - lo <= min_width:
-            # cannot split further; accept this panel's estimate as-is
-            heapq.heappush(heap, (0.0, counter, lo, hi, val, err))
-            counter += 1
-            total_err -= err
-            continue
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _panel_estimate(f, lo, mid)
-        v2, e2 = _panel_estimate(f, mid, hi)
-        total_val += (v1 + v2) - val
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
-        counter += 1
+        pick = active[owner] & (err > (tol / count)[owner])
+        narrow = pick & (hi - lo <= min_width[owner])
+        err[narrow] = 0.0
+        split = np.nonzero(pick & ~narrow)[0]
+        room = acc.max_work - count
+        if np.any(np.bincount(owner[split], minlength=m) > room):
+            # the budget binds: worst first within each integral
+            split = split[np.lexsort((-err[split], owner[split]))]
+            first = np.searchsorted(owner[split], owner[split])
+            split = split[np.arange(split.size) - first < room[owner[split]]]
+        if split.size == 0:
+            if np.any(narrow):
+                continue
+            break  # only rounding can leave every panel at its share
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_owner = np.concatenate([owner[split], owner[split]])
+        new_val, new_err = _panels(f, new_lo, new_hi, new_owner)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        owner = np.concatenate([owner[keep], new_owner])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+    return QuadResult(total, total_err, count, total_err <= tol)
 
-    converged = total_err <= acc.tolerance(total_val)
-    return QuadResult(total_val, total_err, len(heap), converged)
+
+def _single(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+            marker: Singularity, acc: Accuracy, levels: int) -> QuadResult:
+    """One integral as a batch of one, with plain-scalar fields."""
+    r = integrate_batch(lambda x, owner: f(x), a, b, marker, acc, levels)
+    return QuadResult(float(r.value[0]), float(r.err_estimate[0]),
+                      int(r.panels_used[0]), bool(r.converged[0]))
 
 
 def integrate(f: Integrand, a: float, b: float,
@@ -188,8 +252,7 @@ def integrate(f: Integrand, a: float, b: float,
         return QuadResult(head + body.value, body.err_estimate,
                           body.panels_used, body.converged)
 
-    edges = _initial_edges(a, b, f.singularity, _GRADE_LEVELS)
-    return _adaptive(f, edges, acc)
+    return _single(f.f, a, b, f.singularity, acc, _GRADE_LEVELS)
 
 
 def integrate_semi_infinite(f: Integrand, a: float,
@@ -203,8 +266,7 @@ def integrate_semi_infinite(f: Integrand, a: float,
 
     left_log = f.singularity in (Singularity.LOG_LEFT, Singularity.LOG_BOTH)
     marker = Singularity.LOG_BOTH if left_log else Singularity.LOG_RIGHT
-    edges = _initial_edges(0.0, 1.0, marker, _GRADE_LEVELS_TAIL)
-    return _adaptive(Integrand(g, marker), edges, acc)
+    return _single(g, 0.0, 1.0, marker, acc, _GRADE_LEVELS_TAIL)
 
 
 def laplace(f: Integrand, lam: float,

@@ -317,7 +317,10 @@ _V_LO = -40.0
 # exp(-x)/(x ln^2 x); beyond this cutoff the difference is under 1e-20.
 _S_SATURATION = 40.0
 
-_CHUNK = 512  # points (or lattice cells) sharing one node set
+_CHUNK = 512  # lattice cells sharing one node set in s_cell_moments
+# points x v-nodes per volterra_s_array chunk: its two temporaries stay
+# near 512 KiB each, so peak memory does not grow with the batch
+_S_ENTRIES = 2 ** 16
 
 
 def _v_nodes(v_hi: float, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
@@ -371,8 +374,8 @@ def volterra_s_array(x: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndar
         S(x) = 1 + exp(-x) h sum_v exp(-x e^v) e^v/(v^2 + pi^2)
 
     over v in [-40, ln(50/x_min)] (the right tail is under exp(-50)), in
-    sorted chunks of at most 512 points that share the nodes.  S is 1 from
-    x = 40 on.
+    sorted chunks that share the nodes of their smallest point, each of at
+    most _S_ENTRIES points times nodes.  S is 1 from x = 40 on.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 1e-12):
@@ -381,10 +384,12 @@ def volterra_s_array(x: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndar
     out = np.ones_like(flat)
     todo = np.nonzero(flat < _S_SATURATION)[0]
     order = todo[np.argsort(flat[todo])]
-    for start in range(0, order.size, _CHUNK):
-        idx = order[start:start + _CHUNK]
+    start = 0
+    while start < order.size:
+        v, w = _v_nodes(math.log(50.0 / flat[order[start]]), acc)
+        idx = order[start:start + max(1, _S_ENTRIES // v.size)]
+        start += idx.size
         xs = flat[idx]
-        v, w = _v_nodes(math.log(50.0 / xs[0]), acc)
         ev = np.exp(v)
         out[idx] = 1.0 + np.exp(-xs) * (np.exp(-np.outer(xs, ev)) @ (w * ev))
     return out.reshape(x.shape)
@@ -473,30 +478,45 @@ def s_cell_moments(dz: float, n: int, acc: Accuracy = DEFAULT_ACCURACY
     return m0, m1
 
 
-def e1_s_convolution(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """(E1 * S)(x) = int_0^x E1(x - z) S(z) dz, identically 1 for x > 0.
+def s_head_moments(delta: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY
+                   ) -> np.ndarray:
+    """Q(delta) and the first moment int_0^delta t S(t) dt as the two rows
+    of an array, over a 1-D array of delta, once per distinct delta."""
+    heads = {d: (s_cumulative(d, acc), s_first_moment(d, acc))
+             for d in set(delta.tolist())}
+    return np.array([heads[d] for d in delta.tolist()]).reshape(-1, 2).T
+
+
+def e1_s_convolution_array(x: np.ndarray,
+                           acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray:
+    """(E1 * S)(x) = int_0^x E1(x - z) S(z) dz, identically 1 for x > 0,
+    at a 1-D array of points: one adaptive batch for all of them.
 
     The S end routes [0, delta] through Q with a first-order correction;
     the E1 end is integrated with geometric grading.  Used as a pipeline
     check that the two kernel evaluations are mutually consistent.
     """
-    if not x > 0.0:
-        raise ValueError(f"e1_s_convolution requires x > 0, got {x}")
+    x = np.asarray(x, dtype=float).ravel()
+    if not np.all(x > 0.0):
+        raise ValueError("e1_s_convolution requires x > 0")
     from . import quadrature  # local import to keep layering one-way
 
-    delta = min(0.25 * x, 1e-6)
-    q_head = s_cumulative(delta, acc)
-    b_head = s_first_moment(delta, acc)
+    delta = np.minimum(0.25 * x, 1e-6)
+    q_head, b_head = s_head_moments(delta, acc)
     # E1(x - z) ~ E1(x) + z e^{-x}/x near z = 0
-    head = e1(x) * q_head + math.exp(-x) / x * b_head
+    head = e1_array(x) * q_head + np.exp(-x) / x * b_head
 
-    def f(z: np.ndarray) -> np.ndarray:
-        return e1_array(x - z) * volterra_s_array(z, acc)
+    def f(z: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return e1_array(x[owner] - z) * volterra_s_array(z, acc)
 
-    body = quadrature.integrate(
-        quadrature.Integrand(f, quadrature.Singularity.LOG_BOTH), delta, x, acc
-    )
+    body = quadrature.integrate_batch(
+        f, delta, x, quadrature.Singularity.LOG_BOTH, acc)
     return head + body.value
+
+
+def e1_s_convolution(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+    """(E1 * S)(x) at one point x > 0, by e1_s_convolution_array."""
+    return float(e1_s_convolution_array(np.array([x]), acc)[0])
 
 
 def volterra_integrand(acc: Accuracy = DEFAULT_ACCURACY):

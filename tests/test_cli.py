@@ -88,6 +88,23 @@ class TestApply:
         assert code == 2
         assert "/nonexistent/g.csv" in err
 
+    @pytest.mark.parametrize("side, interval", [("left", "0.5,3"),
+                                                 ("right", "0,2")])
+    def test_grid_not_covering_interval_exits_2(self, side, interval,
+                                                 tmp_path, capsys):
+        # J of a grid input needs the grid on the whole operator interval;
+        # it used to integrate from the grid's start, or past its end as 0
+        write_grid_csv(tmp_path / "g.csv",
+                       sample_spec(Sin(3.0), Interval(0.0, 1.0), 64))
+        code, out, err = run_main(
+            ["apply", "--op", "j", "--side", side, "--alpha", "0.5",
+             "--spec", f"grid:{tmp_path / 'g.csv'}", "--interval", interval,
+             "--n-out", "4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("apply failed: grid input on [0, 1] does not "
+                              "cover the operator interval")
+
     def test_bad_interval_exits_2(self, capsys):
         code, _, _ = run_main(
             ["apply", "--op", "j", "--side", "left", "--alpha", "1",
@@ -128,8 +145,8 @@ class TestSweep:
         assert s_dist[1] < s_dist[0]
 
     def test_grid_off_its_lattice_exits_2(self, tmp_path, capsys):
-        # S of a grid input exists only on its own lattice; a sweep
-        # interval other than the grid's must fail like apply does
+        # a grid input must cover the operator interval: the sweep's
+        # first-kind pass refuses [0, 2] before S is reached
         g = sample_spec(Sin(3.0), Interval(0.0, 1.0), 64)
         write_grid_csv(tmp_path / "g.csv", g)
         spec = f"grid:{tmp_path / 'g.csv'}"
@@ -138,7 +155,8 @@ class TestSweep:
              "--interval", "0,2"], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("sweep failed: apply_s on a grid input")
+        assert err.startswith("sweep failed: grid input on [0, 1] does not "
+                              "cover the operator interval [0, 2]")
         code, _, err = run_main(
             ["apply", "--op", "s", "--side", "left", "--alpha", "0.5",
              "--spec", spec, "--interval", "0,2", "--n-out", "64"], capsys)

@@ -230,6 +230,50 @@ class TestApplyJ:
         assert np.max(np.abs(vals - ref)) < 1e-12
         assert ref[0 if side == Side.LEFT else 1] == 0.0
 
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT],
+                             ids=["left", "right"])
+    def test_off_lattice_inside_grid(self, side):
+        # a grid on [0, 1] under the operator interval [0.3, 0.8]: only
+        # [a, x] (left) or [x, b] (right) counts, the anchor cell is
+        # partial, and the value at the anchor is 0
+        from scipy.special import exp1
+
+        def c(z):
+            # both closed E1 cumulatives, 0 at z = 0
+            ze = np.where(z > 0, z * exp1(np.maximum(z, 1e-300)), 0.0)
+            return (ze - np.expm1(-z),
+                    0.5 * (z * ze - np.expm1(-z) - z * np.exp(-z)))
+
+        g = sample_spec(Sin(3.0), UNIT, 64)
+        iv = Interval(0.3, 0.8)
+        p = OperatorParams(side, 0.5, iv)
+        t, v = g.nodes(), g.values
+        s = np.diff(v) / g.spacing
+        xs = np.linspace(iv.a, iv.b, 9)
+        sign = -1.0 if side == Side.LEFT else 1.0
+        ref = np.zeros_like(xs)
+        for i, x in enumerate(xs):
+            top = max(float(p.reduced(x)), 0.0)
+            lo = np.clip(sign * (t[:-1] - x) / p.alpha, 0.0, top)
+            hi = np.clip(sign * (t[1:] - x) / p.alpha, 0.0, top)
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+            const = v[:-1] + s * (x - t[:-1])
+            (c0h, c1h), (c0l, c1l) = c(hi), c(lo)
+            ref[i] = np.sum(const * (c0h - c0l)
+                            + sign * p.alpha * s * (c1h - c1l))
+        vals, _, _ = apply_j_at(Grid(g), p, xs)
+        assert vals[0 if side == Side.LEFT else -1] == 0.0
+        assert np.max(np.abs(vals - ref)) < 1e-12
+
+    @pytest.mark.parametrize("interval", [Interval(0.5, 3.0),
+                                          Interval(-0.5, 1.0)])
+    def test_off_lattice_grid_must_cover_interval(self, interval):
+        g = sample_spec(Sin(3.0), UNIT, 64)
+        for side in (Side.LEFT, Side.RIGHT):
+            with pytest.raises(ValueError, match="does not cover"):
+                apply_j_at(Grid(g), OperatorParams(side, 0.5, interval),
+                           np.array([0.75]))
+
     def test_n_out_guard(self):
         with pytest.raises(ValueError):
             apply_j(Const(1.0), left(1.0), 1)
@@ -243,6 +287,40 @@ class TestApplyS:
         assert np.all(conv)
         ref = [0.5 * 2.0 * s_cumulative(float(x) / 0.5) for x in xs]
         assert np.max(np.abs(vals - ref)) < 1e-10
+
+    @pytest.mark.parametrize("spec, f", [
+        (Poly((0.5, -2.0)), lambda t: 0.5 - 2.0 * t),
+        (Sin(3.0), lambda t: math.sin(3.0 * t)),
+    ], ids=["affine", "sin3"])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT],
+                             ids=["left", "right"])
+    def test_analytic_against_scipy(self, side, spec, f):
+        # alpha [f(x) Q(Z) + int_0^Z S(z) (f(x -/+ alpha z) - f(x)) dz]:
+        # the bracket is bounded, so scipy's quad resolves it directly
+        from scipy.integrate import quad
+        from fracalc.special import volterra_s
+
+        p = OperatorParams(side, 0.4, UNIT)
+        sign = -1.0 if side == Side.LEFT else 1.0
+        xs = np.array([0.0, 0.05, 0.3, 0.55, 0.8, 1.0])
+        ref = np.zeros_like(xs)
+        for i, x in enumerate(xs):
+            Z = float(p.reduced(x))
+            if Z > 0.0:
+                body, _ = quad(lambda z: volterra_s(max(z, 1e-12))
+                               * (f(x + sign * p.alpha * z) - f(x)),
+                               0.0, Z, epsabs=1e-13, epsrel=1e-13, limit=200)
+                ref[i] = p.alpha * (f(x) * s_cumulative(Z) + body)
+        vals, conv, errs = apply_s_at(spec, p, xs)
+        assert np.all(conv)
+        gap = np.abs(vals - ref)
+        if isinstance(spec, Poly):
+            # the linear head below z = 1e-3 is exact for affine inputs
+            assert np.max(gap) < 1e-10
+        else:
+            # on curved inputs that head is the largest error, inside
+            # the reported estimate
+            assert np.all(gap <= errs)
 
     def test_zero_constant(self):
         vals, _, _ = apply_s_at(Const(0.0), left(0.7), np.array([0.3, 0.9]))

@@ -12,6 +12,7 @@ from fracalc.quadrature import (
     Integrand,
     Singularity,
     integrate,
+    integrate_batch,
     integrate_semi_infinite,
     laplace,
 )
@@ -163,15 +164,99 @@ class TestKronrodRule:
         sizes = []
 
         def counting(x):
-            sizes.append(x.shape)
+            sizes.append(x.size)
             return np.log(1.0 / x)
 
         r = integrate(plain(counting, Singularity.LOG_LEFT), 0.0, 1.0)
         assert r.converged
-        assert set(sizes) == {(15,)}
-        # every panel ever estimated: the final ones plus two per split
-        # beyond the 13 graded seed panels
-        assert len(sizes) == 13 + 2 * (r.panels_used - 13)
+        # one call per round, 15 nodes per panel evaluated
+        assert all(s % 15 == 0 for s in sizes)
+        # the 13 graded seed panels plus two per split, and each split
+        # adds one panel to the final count
+        assert sum(sizes) == 15 * (13 + 2 * (r.panels_used - 13))
+
+
+class TestBatch:
+    # three integrands of different difficulty, one per integral
+    SCALES = np.array([1.0, 7.0, 40.0])
+
+    @classmethod
+    def integrand(cls, x, owner):
+        return np.log(1.0 / x) * np.cos(cls.SCALES[owner] * x)
+
+    def test_members_match_alone(self):
+        b = np.array([1.0, 0.6, 2.0])
+        batch = integrate_batch(self.integrand, 0.0, b,
+                                Singularity.LOG_LEFT)
+        for i in range(b.size):
+            alone = integrate_batch(
+                lambda x, owner: self.integrand(x, np.full_like(owner, i)),
+                0.0, b[i], Singularity.LOG_LEFT)
+            assert batch.value[i] == pytest.approx(alone.value[0],
+                                                   rel=1e-14, abs=0.0)
+            assert batch.panels_used[i] == alone.panels_used[0]
+            assert batch.converged[i] and alone.converged[0]
+
+    def test_one_call_per_round(self):
+        def counting(calls):
+            def f(x, owner):
+                calls.append(np.unique(owner).size)
+                return self.integrand(x, owner)
+            return f
+
+        b = np.array([1.0, 0.6, 2.0])
+        batch = []
+        integrate_batch(counting(batch), 0.0, b, Singularity.LOG_LEFT)
+        alone = []
+        for i in range(b.size):
+            calls = []
+            integrate_batch(lambda x, owner: counting(calls)(
+                x, np.full_like(owner, i)), 0.0, b[i], Singularity.LOG_LEFT)
+            alone.append(len(calls))
+        # every round serves all members still refining, so the batch
+        # takes as many calls as its slowest member alone
+        assert batch[0] == 3
+        assert len(batch) == max(alone)
+
+    def test_unconverged_member_leaves_others(self):
+        acc = Accuracy(1e-12, 1e-12, 64)
+        kink = lambda x: np.abs(np.sin(50.0 / (x + 0.02)))
+
+        def mixed(x, owner):
+            return np.where(owner == 1, kink(x), np.exp(x))
+
+        r = integrate_batch(mixed, 0.0, 1.0 * np.ones(3), acc=acc)
+        alone = integrate_batch(lambda x, owner: np.exp(x), 0.0, 1.0,
+                                acc=acc)
+        assert list(r.converged) == [True, False, True]
+        assert r.panels_used[1] <= acc.max_work
+        for i in (0, 2):
+            assert r.value[i] == alone.value[0]
+            assert r.panels_used[i] == alone.panels_used[0]
+
+    def test_max_work_per_integral(self):
+        acc = Accuracy(1e-14, 1e-14, 40)
+        hard = lambda x, owner: np.abs(np.sin(50.0 / (x + 0.02)))
+        r = integrate_batch(hard, 0.0, np.ones(4), acc=acc)
+        assert not np.any(r.converged)
+        # the budget binds each integral, not the batch as a whole
+        assert np.all(r.panels_used == acc.max_work)
+
+    def test_per_integral_markers(self):
+        f = lambda x, owner: np.where(owner == 0, np.log(1.0 / x),
+                                      np.log(1.0 / (1.0 - x)))
+        r = integrate_batch(f, 0.0, 1.0 * np.ones(2),
+                            [Singularity.LOG_LEFT, Singularity.LOG_RIGHT])
+        assert np.all(r.converged)
+        assert np.max(np.abs(r.value - 1.0)) < 1e-10
+
+    def test_empty_batch(self):
+        r = integrate_batch(lambda x, owner: x, np.zeros(0), np.zeros(0))
+        assert r.value.size == 0
+
+    def test_rejects_empty_interval(self):
+        with pytest.raises(ValueError):
+            integrate_batch(lambda x, owner: x, [0.0, 1.0], [1.0, 1.0])
 
 
 # twenty integrands with closed forms for the honesty census
