@@ -10,17 +10,19 @@ after the substitution z = (x - t)/alpha:
 Analytic inputs run through the adaptive engine with the kernel's log
 singularity declared, as one batch over all output points: one integrand
 call per refinement round across all of them.  The S kernel's
-non-removable singularity is split at delta = 1e-3 and its head routed
-through the smooth cumulative Q.  Grid inputs are integrated exactly (piecewise-linear carrier against
-closed kernel moments), which keeps the L^p norm inequalities honest at
-machine precision.  On the input's own lattice, or a sub-lattice of it,
-both kernels run as Toeplitz convolutions, each a zero-padded real-FFT
-product in O(n log n); J at other points is a blocked matrix product of
-closed E1 cumulative differences over [a, x] (left) or [x, b] (right),
-so the grid must cover the operator interval; S of a grid input exists
-only on its lattice.  Output at the collapsed endpoint (x = a for the
-left side) is 0 by continuity; that convention is a choice — the
-operators are only defined almost everywhere.
+non-removable singularity is split at delta = 1e-3; its head takes f as
+the quadratic through its samples at z = 0, delta/2 and delta, against Q
+and the first two moments of S.  Grid inputs are integrated exactly
+(piecewise-linear carrier against closed kernel moments), which keeps
+the L^p norm inequalities honest at machine precision.  On the input's
+own lattice, or a sub-lattice of it, both kernels run as Toeplitz
+convolutions, each a zero-padded real-FFT product in O(n log n); J at
+other points is a blocked matrix product of closed E1 cumulative
+differences over [a, x] (left) or [x, b] (right), so the grid must cover
+the operator interval; S of a grid input exists only on its lattice.
+Output at the collapsed endpoint (x = a for the left side) is 0 by
+continuity; that convention is a choice — the operators are only defined
+almost everywhere.
 """
 
 from __future__ import annotations
@@ -149,11 +151,13 @@ def _s_analytic(f: FunctionSpec, p: OperatorParams,
     g0, gm, gd = _f_along(f, p, np.tile(x, 3),
                           np.concatenate([0.0 * delta, 0.5 * delta, delta])
                           ).reshape(3, x.size)
-    q_head, b_head = s_head_moments(delta, p.acc)
-    # linear-in-z head; the residual is bounded by the deviation of the
-    # midpoint from the chord (second-order oscillation of f)
-    head = alpha * (g0 * q_head + (gd - g0) / delta * b_head)
-    head_err = alpha * 2.0 * abs(gm - 0.5 * (g0 + gd)) * q_head
+    q_head, m1_head, m2_head = s_head_moments(delta, p.acc)
+    # head quadratic in z through the three samples; its change from the
+    # chord through 0 and delta bounds its residual
+    curv = 2.0 * (g0 - 2.0 * gm + gd) / (delta * delta)
+    slope = (gd - g0) / delta - curv * delta
+    head = alpha * (g0 * q_head + slope * m1_head + curv * m2_head)
+    head_err = alpha * np.abs(curv) * (delta * m1_head - m2_head)
     body = Z > delta
     res = _kernel_batch(f, p, x[body], delta[body], Z[body],
                         lambda z: volterra_s_array(z, p.acc))

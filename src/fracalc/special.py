@@ -4,7 +4,8 @@ Covers the exponential integral E1 (first-kind kernel), the singular
 second-kind kernel S(x) = exp(-x) * int_0^inf x^(s-1)/Gamma(s) ds, the
 exponential partial sums e_k, log-gamma, the regularized lower incomplete
 gamma P(s, x), the cumulative kernel mass Q(X) = int_0^X S(t) dt, the
-first moment int_0^delta t S(t) dt and the S cell moments of a lattice.
+moments int_0^delta t^k S(t) dt, k = 1, 2, and the S cell moments of a
+lattice.
 
 Every S quantity comes from one representation.  With u = e^v in
 S(x) = 1 + exp(-x) int_0^inf exp(-xu)/(ln^2 u + pi^2) du,
@@ -13,7 +14,7 @@ S(x) = 1 + exp(-x) int_0^inf exp(-xu)/(ln^2 u + pi^2) du,
 
 a smooth two-sided integral that decays like e^v on the left and
 double-exponentially on the right.  Integrating in t under the v-integral
-gives Q, the first moment and each lattice cell's moments as integrals of
+gives Q, the two moments and each lattice cell's moments as integrals of
 the same kind, each with its own smooth integrand in v.  All of them are
 one plain trapezoid sum in v with step 0.2, which converges exponentially
 on such integrands (the discretization error is below 1e-20).
@@ -105,13 +106,91 @@ def e1(x: float) -> float:
 _E1_SERIES = tuple((-1) ** k / (k * math.factorial(k)) for k in range(22, 0, -1))
 
 
-def e1_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized E1 over a positive array.
+# h(x) = x e^x E1(x) on the octaves [2^k, 2^(k+1)), k = 0..5, as one
+# degree-19 polynomial each in t = x 2^(1-k) - 3 in [-1, 1): monomial
+# coefficients, highest degree first, of the Chebyshev interpolant at 20
+# points (regenerate with scripts/compute_e1_table.py)
+_E1_OCTAVES = (
+    # [1, 2)
+    (
+        5.1508041022925595e-12, -1.7025847932825592e-11, 3.0803215241102515e-11,
+        -1.0377537449060462e-10, 4.0674501625024094e-10, -1.3841785331632418e-09,
+        4.685371428144805e-09, -1.6240537378571917e-08, 5.6954586196587714e-08,
+        -2.0208902967153363e-07, 7.276360964909993e-07, -2.6657063330130347e-06,
+        9.969588472249185e-06, -3.82276862407574e-05, 0.00015112891068722235,
+        -0.0006205521421678448, 0.002672210894234232, -0.012221040518266387,
+        0.06032083661447869, 0.6723850039373744,
+    ),
+    # [2, 4)
+    (
+        8.898696687825777e-12, -2.919562140680952e-11, 5.169208685895561e-11,
+        -1.723500527088338e-10, 6.724123461743093e-10, -2.2597085270343483e-09,
+        7.533025319561065e-09, -2.5685975949184738e-08, 8.839554690639614e-08,
+        -3.0679468473469733e-07, 1.0762412040107013e-06, -3.82231599488987e-06,
+        1.3769260716051317e-05, -5.042787001490753e-05, 0.00018829873306012323,
+        -0.0007194029193250904, 0.0028244809960595555, -0.011457316028371464,
+        0.048334961021273985, 0.7862512207659554,
+    ),
+    # [4, 8)
+    (
+        1.3711029783199789e-11, -4.446286193216408e-11, 7.607588879273467e-11,
+        -2.497152562087817e-10, 9.68633983121656e-10, -3.196313891893747e-09,
+        1.0423906519400384e-08, -3.474119570723151e-08, 1.1654626731322727e-07,
+        -3.929254010240987e-07, 1.333565530963142e-06, -4.560067381273316e-06,
+        1.5723117315090468e-05, -5.472086176116248e-05, 0.00019245316012579338,
+        -0.0006849409098366222, 0.002470810065902486, -0.00905126559114465,
+        0.03374680927441651, 0.8716057754033214,
+    ),
+    # [8, 16)
+    (
+        1.7818504245456016e-11, -5.6884527800670286e-11, 9.285860229337691e-11,
+        -2.9876007226755017e-10, 1.1528352882672961e-09, -3.7196759106257823e-09,
+        1.1810339708411616e-08, -3.832455021176079e-08, 1.248963598680765e-07,
+        -4.0781533517320005e-07, 1.3361834699891535e-06, -4.39463482905169e-06,
+        1.4512551688050918e-05, -4.8136671586783155e-05, 0.00016043006857704206,
+        -0.0005374751552453281, 0.001810931856707197, -0.006139755107714971,
+        0.02095892322379999, 0.9279135976670307,
+    ),
+    # [16, 32)
+    (
+        1.8670212026442594e-11, -5.857295695651595e-11, 9.058798193380028e-11,
+        -2.853620000265067e-10, 1.0983340717157908e-09, -3.4640453494698802e-09,
+        1.0705290345073024e-08, -3.385400626009925e-08, 1.0736935499428376e-07,
+        -3.404772029151893e-07, 1.0812190311528403e-06, -3.4391403597308567e-06,
+        1.0957307469139267e-05, -3.497138157801001e-05, 0.00011181996027070422,
+        -0.00035823550706974767, 0.001150030631807377, -0.0036999374981873177,
+        0.011931104768064488, 0.9614317325721677,
+    ),
+    # [32, 64)
+    (
+        1.5626786525970477e-11, -4.825460768365666e-11, 7.093475204717992e-11,
+        -2.1942627732295928e-10, 8.451091247437557e-10, -2.615279142146541e-09,
+        7.901747270195778e-09, -2.447813722279854e-08, 7.600574423115647e-08,
+        -2.3569056079432053e-07, 7.311961174439693e-07, -2.269873016182237e-06,
+        7.050459537302905e-06, -2.1912273756512325e-05, 6.814296132419391e-05,
+        -0.0002120444507004902, 0.0006602590440351603, -0.002057278089674231,
+        0.006414650100681807, 0.9799845704143275,
+    ),
+)
 
-    Both branches have a fixed length, so no convergence test runs: below
-    1 the power series to 22 terms; from 1 up the continued fraction,
-    evaluated backward from a depth set by the smallest argument,
-    20 + 64/min(x) levels (4e-15 relative at x = 1).
+# the same table as columns, so one gather gives each point its octave's row
+_E1_OCTAVE_COLUMNS = np.array(_E1_OCTAVES).T
+# points per gather: the gathered coefficients stay near 320 KiB, so peak
+# memory does not grow with the call
+_E1_CHUNK = 2048
+_E1_POLY_END = 64.0  # the continued fraction takes over from here ...
+_E1_CF_DEPTH = 21  # ... at the depth 20 + 64/x it needs at x = 64
+
+
+def e1_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized E1 over a positive array of any shape.
+
+    Every branch has a fixed cost, so no convergence test runs.  Below 1
+    the power series to 22 terms.  On [1, 64) the octave polynomials of
+    h = x e^x E1: np.frexp gives x = m 2^e exactly, so the octave is e - 1
+    and t = 4m - 3, and E1 = e^(-x) h(t)/x.  From 64 up the continued
+    fraction, evaluated backward from depth 21.  Against scipy's exp1 the
+    relative error is under 1e-15 on [1, 700].
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
@@ -126,14 +205,32 @@ def e1_array(x: np.ndarray) -> np.ndarray:
             poly *= xs
             poly += c
         out[lo] = -EULER_GAMMA - np.log(xs) - poly * xs
-    xs = x[~lo]
+    if xs.size == x.size:
+        return out
+    mid = ~lo & (x < _E1_POLY_END)
+    xs = x[mid]
+    if xs.size:
+        h = np.empty_like(xs)
+        for start in range(0, xs.size, _E1_CHUNK):
+            m, e = np.frexp(xs[start:start + _E1_CHUNK])
+            t = 4.0 * m - 3.0
+            coef = np.take(_E1_OCTAVE_COLUMNS, e - 1, axis=1)
+            hc = h[start:start + _E1_CHUNK]
+            hc[:] = coef[0]
+            for row in coef[1:]:
+                hc *= t
+                hc += row
+        h *= np.exp(-xs)
+        h /= xs
+        out[mid] = h
+    far = x >= _E1_POLY_END
+    xs = x[far]
     if xs.size:
         # E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
-        depth = 20 + int(64.0 / float(np.min(xs)))
-        d = xs + (2 * depth + 1)
-        for i in range(depth - 1, -1, -1):
+        d = xs + (2 * _E1_CF_DEPTH + 1)
+        for i in range(_E1_CF_DEPTH - 1, -1, -1):
             d = xs + (2 * i + 1) - (i + 1) ** 2 / d
-        out[~lo] = np.exp(-xs) / d
+        out[far] = np.exp(-xs) / d
     return out
 
 
@@ -189,6 +286,25 @@ def e1_cumulative1_array(z: np.ndarray) -> np.ndarray:
 def _lower_gamma2(b: np.ndarray) -> np.ndarray:
     """gamma(2, b) = int_0^b t e^(-t) dt = 1 - e^(-b) (1 + b)."""
     return -np.expm1(-b) - b * np.exp(-b)
+
+
+# 1/k! for k = 20 down to 3: the tail of the exponential series
+_EXP_TAIL3 = tuple(1.0 / math.factorial(k) for k in range(20, 2, -1))
+
+
+def _lower_gamma3(b: np.ndarray) -> np.ndarray:
+    """gamma(3, b) = int_0^b t^2 e^(-t) dt = 2 - e^(-b) (b^2 + 2b + 2);
+    below b = 1 as 2 e^(-b) sum_{k>=3} b^k/k!, free of that cancellation."""
+    out = 2.0 - np.exp(-b) * (b * b + 2.0 * b + 2.0)
+    small = b < 1.0
+    bs = b[small]
+    if bs.size:
+        tail = np.full_like(bs, _EXP_TAIL3[0])
+        for c in _EXP_TAIL3[1:]:
+            tail *= bs
+            tail += c
+        out[small] = 2.0 * np.exp(-bs) * bs ** 3 * tail
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +467,13 @@ def _sigma_prime(v: np.ndarray) -> np.ndarray:
     return u / ((1.0 + u) * (1.0 + u))
 
 
+def _sigma_prime_over_a(v: np.ndarray) -> np.ndarray:
+    """e^v/(1 + e^v)^3, sigma'(v) over a = 1 + e^v; without overflow for
+    any v."""
+    u = np.exp(-np.abs(v))
+    return np.where(v > 0.0, u * u, u) / ((1.0 + u) ** 3)
+
+
 def volterra_s(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """The second-kind kernel S(x) = exp(-x) int_0^inf x^(s-1)/Gamma(s) ds.
 
@@ -435,6 +558,24 @@ def s_first_moment(delta: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     return float(0.5 * delta * delta + np.sum(w * _sigma_prime(v) * _lower_gamma2(a)))
 
 
+def s_second_moment(delta: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+    """int_0^delta t^2 S(t) dt, as
+
+        delta^3/3 + int gamma(3, a) e^v/((1 + e^v)^3 (v^2 + pi^2)) dv,
+
+    with a = delta (1 + e^v), on the trapezoid nodes of s_first_moment
+    (past v = ln(1/delta) this integrand decays like e^(-2v))."""
+    if delta < 0.0:
+        raise ValueError(f"s_second_moment requires delta >= 0, got {delta}")
+    if delta == 0.0:
+        return 0.0
+    ln_d = math.log(delta)
+    v, w = _v_nodes(40.0 - ln_d, acc)
+    a = delta + np.exp(v + ln_d)
+    return float(delta ** 3 / 3.0
+                 + np.sum(w * _sigma_prime_over_a(v) * _lower_gamma3(a)))
+
+
 def s_cell_moments(dz: float, n: int, acc: Accuracy = DEFAULT_ACCURACY
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Cell moments m0[k] = int S(t) dt and m1[k] = int t S(t) dt over the
@@ -480,11 +621,13 @@ def s_cell_moments(dz: float, n: int, acc: Accuracy = DEFAULT_ACCURACY
 
 def s_head_moments(delta: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY
                    ) -> np.ndarray:
-    """Q(delta) and the first moment int_0^delta t S(t) dt as the two rows
-    of an array, over a 1-D array of delta, once per distinct delta."""
-    heads = {d: (s_cumulative(d, acc), s_first_moment(d, acc))
+    """Q(delta) and the moments int_0^delta t^k S(t) dt, k = 1, 2, as the
+    three rows of an array, over a 1-D array of delta, once per distinct
+    delta."""
+    heads = {d: (s_cumulative(d, acc), s_first_moment(d, acc),
+                 s_second_moment(d, acc))
              for d in set(delta.tolist())}
-    return np.array([heads[d] for d in delta.tolist()]).reshape(-1, 2).T
+    return np.array([heads[d] for d in delta.tolist()]).reshape(-1, 3).T
 
 
 def e1_s_convolution_array(x: np.ndarray,
@@ -502,7 +645,7 @@ def e1_s_convolution_array(x: np.ndarray,
     from . import quadrature  # local import to keep layering one-way
 
     delta = np.minimum(0.25 * x, 1e-6)
-    q_head, b_head = s_head_moments(delta, acc)
+    q_head, b_head, _ = s_head_moments(delta, acc)
     # E1(x - z) ~ E1(x) + z e^{-x}/x near z = 0
     head = e1_array(x) * q_head + np.exp(-x) / x * b_head
 

@@ -23,6 +23,8 @@ from fracalc.special import (
     s_cell_moments,
     s_cumulative,
     s_first_moment,
+    s_head_moments,
+    s_second_moment,
     volterra_s,
     volterra_s_array,
 )
@@ -70,6 +72,60 @@ class TestE1:
         x2 = x1 * 1.7
         v1, v2 = e1(x1), e1(x2)
         assert v1 > v2 > 0.0
+
+
+class TestE1Array:
+    # the power series below 1, frozen bit for bit from the evaluator that
+    # preceded the octave polynomials above 1
+    SERIES_POINTS = ["0x1.56e1fc2f8f359p-997", "0x1.19799812dea11p-40",
+                     "0x1.0624dd2f1a9fcp-10", "0x1.999999999999ap-4",
+                     "0x1.0000000000000p-2", "0x1.0000000000000p-1",
+                     "0x1.8000000000000p-1", "0x1.ccccccccccccdp-1",
+                     "0x1.ff7ced916872bp-1", "0x1.fffffffffffffp-1"]
+    SERIES_VALUES = ["0x1.5919624b963c7p+9", "0x1.b0dc631ac8308p+4",
+                     "0x1.9537f0e1934a1p+2", "0x1.d2ab25008192dp+0",
+                     "0x1.0b561b52b771bp+0", "0x1.1e9aa50574b82p-1",
+                     "0x1.5c824d53ca88cp-2", "0x1.0a6da8996601dp-2",
+                     "0x1.c20d6e981b014p-3", "0x1.c14c5d3bf8f94p-3"]
+
+    def test_series_branch_bit_identical(self):
+        x = np.array([float.fromhex(h) for h in self.SERIES_POINTS])
+        want = np.array([float.fromhex(h) for h in self.SERIES_VALUES])
+        assert np.array_equal(e1_array(x), want)
+        # the same points inside a call that also reaches the other branches
+        mixed = np.concatenate([x, [1.0, 3.5, 63.0, 64.0, 500.0]])
+        assert np.array_equal(e1_array(mixed)[:x.size], want)
+
+    def test_empty(self):
+        out = e1_array(np.array([]))
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("x", [0.5, 3.5, 100.0])
+    def test_zero_dimensional(self, x):
+        out = e1_array(np.float64(x))
+        assert out.shape == ()
+        assert float(out) == e1_array(np.array([x]))[0]
+
+    def test_two_dimensional(self):
+        # nodes x points blocks, as the off-lattice J evaluator passes them
+        x = np.geomspace(1e-3, 200.0, 60).reshape(6, 10)
+        out = e1_array(x)
+        assert out.shape == (6, 10)
+        assert np.array_equal(out.ravel(), e1_array(x.ravel()))
+        assert np.array_equal(out[:, ::-1], e1_array(x[:, ::-1]))
+
+    def test_frozen_octave_table(self):
+        pytest.importorskip("mpmath")
+        import importlib.util
+        from pathlib import Path
+
+        from fracalc.special import _E1_OCTAVES
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / "compute_e1_table.py"
+        spec = importlib.util.spec_from_file_location("compute_e1_table", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.octave_table() == _E1_OCTAVES
 
 
 class TestEkAndMoments:
@@ -233,11 +289,30 @@ class TestCumulative:
                                 np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
         assert s_first_moment(d) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
+    def test_second_moment_against_scipy(self):
+        # int_0^d t^2 S(t) dt = int_0^inf s (s+1) P(s+2, d) ds
+        integrate = pytest.importorskip("scipy.integrate")
+        gammainc = pytest.importorskip("scipy.special").gammainc
+        for d in (1e-6, 1e-3, 0.5):
+            ref, _ = integrate.quad(
+                lambda s: s * (s + 1.0) * gammainc(s + 2.0, d), 0.0, np.inf,
+                epsabs=0.0, epsrel=1e-13, limit=200)
+            assert s_second_moment(d) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_head_moments_rows(self):
+        delta = np.array([1e-3, 0.25, 1e-3])
+        q, m1, m2 = s_head_moments(delta)
+        assert np.array_equal(q, [s_cumulative(d) for d in delta])
+        assert np.array_equal(m1, [s_first_moment(d) for d in delta])
+        assert np.array_equal(m2, [s_second_moment(d) for d in delta])
+        assert np.all(m2 < delta * m1)
+
     @pytest.mark.parametrize("fn", [
         lambda acc: volterra_s_array(np.array([0.5]), acc),
         lambda acc: s_cumulative(0.5, acc),
         lambda acc: s_first_moment(0.5, acc),
         lambda acc: s_cell_moments(0.1, 4, acc),
+        lambda acc: s_second_moment(0.5, acc),
     ])
     def test_work_budget_enforced(self, fn):
         with pytest.raises(RuntimeError, match="work budget"):
@@ -284,11 +359,17 @@ class TestIndependentSpotChecks:
 
     def test_e1_array_against_scipy(self):
         exp1 = pytest.importorskip("scipy.special").exp1
-        # the continued-fraction depth follows the smallest argument of a
-        # call, so each range starts at a different one
-        for lo in (1e-300, 0.999, 1.0, 1.7, 5.0, 60.0):
-            x = np.geomspace(lo, 700.0, 3000)
-            assert np.allclose(e1_array(x), exp1(x), rtol=1e-14, atol=0.0)
+        # ranges from below 1, from each octave edge of the polynomial
+        # branch and its predecessor, and across the switch to the
+        # continued fraction at 64; the last one spans several gathers
+        edges = [2.0 ** k for k in range(7)]
+        starts = [1e-300, 0.999] + edges + [np.nextafter(e, 0.0) for e in edges]
+        ranges = [np.geomspace(lo, 700.0, 3000) for lo in starts]
+        for x in ranges + [np.linspace(1.0, 64.0, 7000)]:
+            got, ref = e1_array(x), exp1(x)
+            above = x >= 1.0
+            assert np.allclose(got[above], ref[above], rtol=2e-15, atol=0.0)
+            assert np.allclose(got[~above], ref[~above], rtol=1e-14, atol=0.0)
         for x in (0.6, 0.9, 0.99, 2.0, 5.0):
             assert e1(x) == pytest.approx(exp1(x), rel=1e-14, abs=0.0)
 
