@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .derivatives import _FD_STEP_FRACTION, AcFunction, d_frac_ac, d_frac_numeric
+from .derivatives import AcFunction, d_frac_ac, d_frac_numeric
 from .funcspec import (
     FunctionSpec,
     Grid,
@@ -47,6 +47,7 @@ from .operators import (
     OperatorParams,
     OperatorReport,
     Side,
+    _carrier_err,
     apply_j,
     apply_s,
     running_integral,
@@ -167,9 +168,8 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         report = apply_s(spec, p, args.n_out)
     elif isinstance(spec, Grid):
         out = d_frac_numeric(spec.fn, p)
-        h = interval.width / _FD_STEP_FRACTION
-        err = h * h * float(np.max(np.abs(out.values)) + 1.0)
-        report = OperatorReport(out, np.ones(out.values.size, dtype=bool), err)
+        report = OperatorReport(out, np.ones(out.values.size, dtype=bool),
+                                _carrier_err(spec.fn))
     else:
         ac = AcFunction.from_catalog(spec, interval, side)
         report = d_frac_ac(ac, p, args.n_out)

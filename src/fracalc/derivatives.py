@@ -1,18 +1,22 @@
 """Fractional derivatives: d/dx of the first-kind integral.
 
-Two evaluation routes are kept deliberately separate and cross-checked:
+  * d_frac_ac      — for absolutely continuous catalog inputs, the
+                     representation boundary_value * E1(reduced)/alpha
+                     + J(f'), with J(f') by adaptive quadrature;
+  * d_frac_numeric — for a grid input, taken as its piecewise-linear
+                     carrier, the carrier's closed derivative at the
+                     grid's interior nodes, one FFT convolution on the
+                     grid's own lattice;
+  * d_frac_at      — the same derivative at arbitrary points.
 
-  * d_frac_ac      — for absolutely continuous inputs, the representation
-                     boundary_value * E1(reduced)/alpha + J(f'), which is
-                     how the derivative is actually computed in practice;
-  * d_frac_numeric — a central difference of the first-kind integral,
-                     O(h^2), used as the independent route and for grid
-                     inputs with no catalog derivative.
-
-Both routes difference J through the lattice engine of the operators
-module when the input is a grid.  The module also packages the inversion
-and correction identities as runnable residual checks (sup-norm over
-interior points), each returned as a ResidualReport.
+The carrier is absolutely continuous, so its derivative is the same
+representation with the cell slopes for f':
++/-[g(anchor) E1(reduced)/alpha + sum_j slope_j m0_j], m0 the E1 moments
+of the cells (see the operators module).  No derivative is a difference
+quotient; verify keeps one, of J itself, as the independent check.  The
+module also packages the inversion and correction identities as runnable
+residual checks (sup-norm over interior points), each returned as a
+ResidualReport.
 """
 
 from __future__ import annotations
@@ -36,13 +40,14 @@ from .operators import (
     OperatorParams,
     OperatorReport,
     Side,
+    _anchor_term,
+    _d_lattice,
+    _d_off_lattice,
     apply_j,
     apply_j_at,
     apply_s,
 )
-from .special import e1_array, e1_s_convolution_array
-
-_FD_STEP_FRACTION = 4096  # default central-difference step (b-a)/4096
+from .special import e1_s_convolution_array
 
 
 @dataclass(frozen=True)
@@ -122,43 +127,27 @@ def d_frac_ac(f: AcFunction, p: OperatorParams, n_out: int,
         sub = Interval(float(xs[0]), float(xs[-1]))
     vals, conv, errs = apply_j_at(f.derivative_spec, p, xs)
     if f.boundary_value != 0.0:
-        sign = 1.0 if p.side == Side.LEFT else -1.0
-        r = p.reduced(xs)
-        kern = np.zeros_like(xs)
-        pos = r > 0.0
-        kern[pos] = e1_array(r[pos]) / p.alpha
-        vals = vals + sign * f.boundary_value * kern
+        vals = vals + _anchor_term(f.boundary_value, p, xs)
     return OperatorReport(GridFunction(sub, vals), conv, float(np.max(errs)))
 
 
-def d_frac_numeric(g: GridFunction, p: OperatorParams,
-                   h: float | None = None) -> GridFunction:
-    """Central difference of the first-kind integral of a grid function,
-    at the grid's interior nodes; O(h^2)."""
-    if h is None:
-        h = p.interval.width / _FD_STEP_FRACTION
-    if h > g.spacing:
-        raise ValueError(
-            f"difference step {h} exceeds the node spacing {g.spacing}"
-        )
+def d_frac_numeric(g: GridFunction, p: OperatorParams) -> GridFunction:
+    """Derivative of the carrier of g at the grid's interior nodes: one
+    lattice convolution when g lies on the operator interval, else
+    d_frac_at at those nodes."""
     xs = g.nodes()[1:-1]
-    return GridFunction(Interval(float(xs[0]), float(xs[-1])),
-                        d_frac_at(Grid(g), p, xs, h=h))
-
-
-def d_frac_at(f: FunctionSpec, p: OperatorParams, xs: np.ndarray,
-              fine_n: int = 2048, h: float | None = None) -> np.ndarray:
-    """Derivative route for arbitrary catalog f: J of f on a fine grid,
-    then central differences at the requested points."""
-    if h is None:
-        h = p.interval.width / _FD_STEP_FRACTION
-    xs = np.asarray(xs, dtype=float)
-    if isinstance(f, Grid):
-        g = f.fn
+    if g.interval == p.interval:
+        vals = _d_lattice(g, p)[1:-1]
     else:
-        g = sample_spec(f, p.interval, fine_n, p.alpha)
-    vals, _, _ = apply_j_at(Grid(g), p, np.concatenate([xs + h, xs - h]))
-    return (vals[:xs.size] - vals[xs.size:]) / (2.0 * h)
+        vals = d_frac_at(g, p, xs)
+    return GridFunction(Interval(float(xs[0]), float(xs[-1])), vals)
+
+
+def d_frac_at(g: GridFunction, p: OperatorParams,
+              xs: np.ndarray) -> np.ndarray:
+    """Derivative of the carrier of g at arbitrary points; the grid must
+    cover the operator interval."""
+    return _d_off_lattice(g, p, np.asarray(xs, dtype=float))
 
 
 def check_inversion_ds(phi: FunctionSpec, p: OperatorParams,
@@ -167,19 +156,20 @@ def check_inversion_ds(phi: FunctionSpec, p: OperatorParams,
     """Residual of the right-inverse identity: the derivative of the
     second-kind integral recovers phi on the left side and -phi on the
     right side.  Fully numeric pipeline: phi sampled, S through the exact
-    lattice route, then central differences of J applied to that grid.
+    lattice route, then the carrier's derivative on the same lattice, at
+    the nodes nearest n_check evenly spaced points.
     The lattice must be fine: the piecewise-linear carrier misses the
     kernel's logarithmic curvature in the first cells and that deficit is
     what limits the differentiated composition.
     """
     if not isinstance(phi, Grid):
         phi = Grid(sample_spec(phi, p.interval, fine_n, p.alpha))
-    s_phi = apply_s(phi, p, phi.fn.n)
-    h = p.interval.width / _FD_STEP_FRACTION
-    margin = 2.0 * h + 0.02 * p.interval.width
+    s_phi = apply_s(phi, p, phi.fn.n).outputs
+    margin = 0.0205 * p.interval.width
     xs = np.linspace(p.interval.a + margin, p.interval.b - margin, n_check)
-    dvals = d_frac_at(Grid(s_phi.outputs), p, xs, h=h)
-    target = phi.fn(xs)
+    idx = np.rint((xs - p.interval.a) / s_phi.spacing).astype(int)
+    dvals = d_frac_numeric(s_phi, p).values[idx - 1]
+    target = phi.fn(s_phi.nodes()[idx])
     if p.side == Side.RIGHT:
         target = -target
     residual = float(np.max(np.abs(dvals - target)))

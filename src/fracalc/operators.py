@@ -49,6 +49,7 @@ from .special import (
     CONSTANTS,
     DEFAULT_ACCURACY,
     e1_array,
+    e1_cumulative0_array,
     e1_cumulatives_array,
     ek,
     s_cell_moments,
@@ -242,13 +243,14 @@ def _lattice_apply(g: GridFunction, p: OperatorParams, cell_moments: Callable,
     return out if p.side == Side.LEFT else out[::-1]
 
 
-def _j_off_lattice(g: GridFunction, p: OperatorParams,
-                   xs: np.ndarray) -> np.ndarray:
-    """First-kind integral at any points, all nodes against one block of
-    points at a time: z = max(+/-(x - t), 0)/alpha clipped to the reduced
-    coordinate of x, so only [a, x] (left) or [x, b] (right) counts and
-    the anchor cell is partial; the cell moments are differences of the
-    closed E1 cumulatives along the node axis."""
+def _off_lattice(g: GridFunction, p: OperatorParams, xs: np.ndarray,
+                 block_sum: Callable) -> np.ndarray:
+    """All nodes against one block of points at a time: z = max(+/-(x -
+    t), 0)/alpha, and the same clipped to the reduced coordinate of x, so
+    only [a, x] (left) or [x, b] (right) counts and the anchor cell is
+    partial.  block_sum(v, slopes, z, z_clipped) returns the block's
+    values; its cell moments are differences of closed E1 cumulatives of
+    z_clipped along the node axis."""
     if not (g.interval.a <= p.interval.a and p.interval.b <= g.interval.b):
         raise ValueError(
             f"grid input on [{g.interval.a:g}, {g.interval.b:g}] does not "
@@ -260,11 +262,59 @@ def _j_off_lattice(g: GridFunction, p: OperatorParams,
     for lo in range(0, xs.size, cols):
         x = xs[lo:lo + cols]
         z = np.maximum(sign * (x - t[:, None]), 0.0) / p.alpha
-        c0, c1 = e1_cumulatives_array(np.minimum(z, np.maximum(p.reduced(x), 0.0)))
-        vals[lo:lo + cols] = _cell_sum(v, slopes, p.alpha, z[:-1],
-                                       c0[:-1] - c0[1:], c1[:-1] - c1[1:],
-                                       np.dot)
+        vals[lo:lo + cols] = block_sum(
+            v, slopes, z, np.minimum(z, np.maximum(p.reduced(x), 0.0)))
     return vals
+
+
+def _j_off_lattice(g: GridFunction, p: OperatorParams,
+                   xs: np.ndarray) -> np.ndarray:
+    """First-kind integral at any points."""
+    def block_sum(v, slopes, z, z_clipped):
+        c0, c1 = e1_cumulatives_array(z_clipped)
+        return _cell_sum(v, slopes, p.alpha, z[:-1], c0[:-1] - c0[1:],
+                         c1[:-1] - c1[1:], np.dot)
+
+    return _off_lattice(g, p, xs, block_sum)
+
+
+# The derivative D = d/dx J of the carrier is closed: with g(anchor) its
+# value at the side's anchor and m0 the E1 moments of the oriented cells,
+#     D g(x) = +/-[g(anchor) E1(r)/alpha + sum_j slope_j m0_j(x)],
+# r the reduced coordinate of x; 0 where r <= 0, as J is.
+
+def _anchor_term(value: float, p: OperatorParams, xs) -> np.ndarray:
+    """+/- value E1(r)/alpha, the anchor's term of the derivative."""
+    sign = 1.0 if p.side == Side.LEFT else -1.0
+    return _closed(p, xs, lambda x, r, e: sign * value * (e / p.alpha))
+
+
+def _d_lattice(g: GridFunction, p: OperatorParams) -> np.ndarray:
+    """D of the carrier at every node of g's own lattice (g on the
+    operator interval): one FFT convolution of the slopes with the cell
+    moments m0, plus the anchor's term."""
+    dz = g.spacing / p.alpha
+    m0 = np.diff(e1_cumulative0_array(dz * np.arange(g.n + 1)))
+    _, v, slopes = _oriented(g, p.side)
+    out = np.zeros(g.n + 1)
+    out[1:] = _fft_convolve(slopes, m0)
+    if p.side == Side.RIGHT:
+        out = -out[::-1]
+    return out + _anchor_term(v[0], p, g.nodes())
+
+
+def _d_off_lattice(g: GridFunction, p: OperatorParams,
+                   xs: np.ndarray) -> np.ndarray:
+    """D of the carrier at any points of the operator interval."""
+    def block_sum(v, slopes, z, z_clipped):
+        c0 = e1_cumulative0_array(z_clipped)
+        return np.dot(slopes, c0[:-1] - c0[1:])
+
+    anchor = p.interval.a if p.side == Side.LEFT else p.interval.b
+    sums = _off_lattice(g, p, xs, block_sum)
+    if p.side == Side.RIGHT:
+        sums = -sums
+    return sums + _anchor_term(float(g(anchor)), p, xs)
 
 
 def _s_off_lattice(g: GridFunction, p: OperatorParams,

@@ -274,8 +274,15 @@ def e1_cumulatives_array(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def e1_cumulative0_array(z: np.ndarray) -> np.ndarray:
-    """int_0^z E1(t) dt, elementwise; z >= 0 with value 0 at z = 0."""
-    return e1_cumulatives_array(z)[0]
+    """int_0^z E1(t) dt = z E1(z) - expm1(-z), elementwise, without the
+    first moment; z >= 0 with value 0 at z = 0."""
+    z = np.asarray(z, dtype=float)
+    c0 = np.zeros_like(z)
+    pos = z > 0.0
+    if np.any(pos):
+        zp = z[pos]
+        c0[pos] = zp * e1_array(zp) - np.expm1(-zp)
+    return c0
 
 
 def e1_cumulative1_array(z: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 import fracalc
 from fracalc.cli import main
-from fracalc.funcspec import Interval, Sin, sample_spec, write_grid_csv
+from fracalc.funcspec import Exp, Interval, Sin, sample_spec, write_grid_csv
 from fracalc.operators import OperatorParams, Side, j_closed_constant
 
 
@@ -72,6 +72,26 @@ class TestApply:
             capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 6
+
+    def test_grid_derivative_next_to_anchor(self, tmp_path, capsys):
+        # exp(-2x) sampled at n = 512, alpha 0.4: at x = 1/512 the grid
+        # route must match the analytic one (11.81823); a central
+        # difference of J there printed 11.82480
+        write_grid_csv(tmp_path / "g.csv",
+                       sample_spec(Exp(-2.0), Interval(0.0, 1.0), 512))
+        args = ["apply", "--op", "d", "--side", "left", "--alpha", "0.4",
+                "--interval", "0,1"]
+        code, grid_out, _ = run_main(
+            args + ["--spec", f"grid:{tmp_path / 'g.csv'}", "--n-out", "512"],
+            capsys)
+        assert code == 0
+        code, exact_out, _ = run_main(
+            args + ["--spec", "exp:-2", "--n-out", "511"], capsys)
+        assert code == 0
+        grid_row = grid_out.splitlines()[1].split(",")
+        exact_row = exact_out.splitlines()[1].split(",")
+        assert float(grid_row[0]) == float(exact_row[0]) == 1.0 / 512
+        assert abs(float(grid_row[1]) - float(exact_row[1])) < 1e-4
 
     def test_bad_spec_exits_2(self, capsys):
         code, _, err = run_main(
