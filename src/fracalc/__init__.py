@@ -4,9 +4,9 @@ the fractional relaxation solver built on them."""
 
 from .special import (
     Accuracy,
-    SpecialConstants,
-    CONSTANTS,
     DEFAULT_ACCURACY,
+    EULER_GAMMA,
+    ZETA2,
     e1,
     e1_moment,
     ek,
@@ -17,7 +17,6 @@ from .special import (
     e1_s_convolution,
 )
 from .quadrature import (
-    Integrand,
     QuadResult,
     Singularity,
     integrate,
@@ -31,7 +30,6 @@ from .funcspec import (
     ParseError,
     parse_spec,
     render_spec,
-    eval_spec,
     sample_spec,
 )
 from .operators import (
@@ -65,13 +63,13 @@ from .relaxation import (
 )
 
 __all__ = [
-    "Accuracy", "SpecialConstants", "CONSTANTS", "DEFAULT_ACCURACY",
+    "Accuracy", "DEFAULT_ACCURACY", "EULER_GAMMA", "ZETA2",
     "e1", "e1_moment", "ek", "log_gamma", "p_regularized", "volterra_s",
     "s_cumulative", "e1_s_convolution",
-    "Integrand", "QuadResult", "Singularity", "integrate",
+    "QuadResult", "Singularity", "integrate",
     "integrate_semi_infinite", "laplace",
     "FunctionSpec", "GridFunction", "Interval", "ParseError", "parse_spec",
-    "render_spec", "eval_spec", "sample_spec",
+    "render_spec", "sample_spec",
     "OperatorParams", "OperatorReport", "Side", "apply_j", "apply_s",
     "running_integral", "j_closed_constant", "j_closed_monomial",
     "j_closed_powshift", "j_closed_e1kernel",

@@ -45,9 +45,7 @@ from .funcspec import (
 )
 from .operators import (
     OperatorParams,
-    OperatorReport,
     Side,
-    _carrier_err,
     apply_j,
     apply_s,
     running_integral,
@@ -118,6 +116,19 @@ def _parse_spec_arg(text: str) -> FunctionSpec:
         raise SystemExit(f"bad function spec: {exc}")
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text with "\n" line ends: the header, then one line per row of
+    Python values, bools as true/false and numbers at 15 significant
+    digits (rows from numpy arrays go through .tolist(), which formats
+    faster)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([("true" if v else "false") if isinstance(v, bool)
+                 else _FMT.format(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def _cmd_kernel(args: argparse.Namespace) -> int:
     acc = default_accuracy()
     points = _parse_floats(args.points, "points")
@@ -128,28 +139,12 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         "p": lambda x: p_regularized(args.s, x, acc),
     }
     fn = fns[args.which]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["x", "value"])
     try:
-        for x in points:
-            w.writerow([_FMT.format(x), _FMT.format(fn(x))])
+        rows = [(x, fn(x)) for x in points]
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"kernel evaluation failed: {exc}")
-    _emit(buf.getvalue(), args.out)
+    _emit(_csv_text(["x", "value"], rows), args.out)
     return 0
-
-
-def _report_csv_text(report: OperatorReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["x", "value", "converged", "err_estimate"])
-    xs = report.outputs.nodes()
-    for x, v, c in zip(xs, report.outputs.values, report.per_point_converged):
-        w.writerow([_FMT.format(x), _FMT.format(v),
-                    "true" if c else "false",
-                    _FMT.format(report.worst_err_estimate)])
-    return buf.getvalue()
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
@@ -167,13 +162,16 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     elif args.op == "s":
         report = apply_s(spec, p, args.n_out)
     elif isinstance(spec, Grid):
-        out = d_frac_numeric(spec.fn, p)
-        report = OperatorReport(out, np.ones(out.values.size, dtype=bool),
-                                _carrier_err(spec.fn))
+        report = d_frac_numeric(spec.fn, p, args.n_out)
     else:
         ac = AcFunction.from_catalog(spec, interval, side)
         report = d_frac_ac(ac, p, args.n_out)
-    _emit(_report_csv_text(report), args.out)
+    out = report.outputs
+    rows = zip(out.nodes().tolist(), out.values.tolist(),
+               report.per_point_converged.tolist(),
+               [report.worst_err_estimate] * out.values.size)
+    _emit(_csv_text(["x", "value", "converged", "err_estimate"], rows),
+          args.out)
     return 0
 
 
@@ -197,17 +195,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     g = spec if isinstance(spec, Grid) else Grid(sample_spec(spec, interval, n))
     spacing = g.fn.spacing
     ri = running_integral(g, interval, side, g.fn.n)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["alpha", "j_l1_distance", "s_l1_distance"])
+    rows = []
     for alpha in alphas:
         p = OperatorParams(side, alpha, interval, acc)
         jv = apply_j(g, p, g.fn.n).outputs.values
         sv = apply_s(g, p, g.fn.n).outputs.values
         jd = float(np.trapezoid(np.abs(jv - g.fn.values), dx=spacing))
         sd = float(np.trapezoid(np.abs(sv - ri.values), dx=spacing))
-        w.writerow([_FMT.format(alpha), _FMT.format(jd), _FMT.format(sd)])
-    _emit(buf.getvalue(), args.out)
+        rows.append((alpha, jd, sd))
+    _emit(_csv_text(["alpha", "j_l1_distance", "s_l1_distance"], rows),
+          args.out)
     return 0
 
 
@@ -230,12 +227,8 @@ def _cmd_relax(args: argparse.Namespace) -> int:
     else:
         raise SystemExit(f"u0 must be 'zero' or 'const:<c>', got {args.u0!r}")
     u, diag = solve_picard(prob, u0, acc)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "u"])
-    for t, v in zip(u.nodes(), u.values):
-        w.writerow([_FMT.format(t), _FMT.format(v)])
-    _emit(buf.getvalue(), args.out)
+    _emit(_csv_text(["t", "u"], zip(u.nodes().tolist(), u.values.tolist())),
+          args.out)
     diag_text = json.dumps(diagnostics_to_json(diag), indent=2) + "\n"
     if args.diagnostics:
         with open(args.diagnostics, "w") as fh:

@@ -5,8 +5,8 @@
                      + J(f'), with J(f') by adaptive quadrature;
   * d_frac_numeric — for a grid input, taken as its piecewise-linear
                      carrier, the carrier's closed derivative at the
-                     grid's interior nodes, one FFT convolution on the
-                     grid's own lattice;
+                     output nodes of d_frac_ac: a subsample of one FFT
+                     convolution when they lie on the grid's lattice;
   * d_frac_at      — the same derivative at arbitrary points.
 
 The carrier is absolutely continuous, so its derivative is the same
@@ -31,7 +31,6 @@ from .funcspec import (
     GridFunction,
     Interval,
     catalog_derivative,
-    eval_spec,
     eval_spec_array,
     is_bounded,
     sample_spec,
@@ -41,6 +40,7 @@ from .operators import (
     OperatorReport,
     Side,
     _anchor_term,
+    _carrier_err,
     _d_lattice,
     _d_off_lattice,
     apply_j,
@@ -64,7 +64,7 @@ class AcFunction:
                      side: Side = Side.LEFT) -> "AcFunction":
         d = catalog_derivative(f, interval)
         anchor = interval.a if side == Side.LEFT else interval.b
-        return cls(f, d, eval_spec(f, anchor, interval))
+        return cls(f, d, float(eval_spec_array(f, anchor, interval)))
 
     def validate(self, interval: Interval, alpha: float = 1.0,
                  tol: float = 1e-6) -> None:
@@ -131,16 +131,24 @@ def d_frac_ac(f: AcFunction, p: OperatorParams, n_out: int,
     return OperatorReport(GridFunction(sub, vals), conv, float(np.max(errs)))
 
 
-def d_frac_numeric(g: GridFunction, p: OperatorParams) -> GridFunction:
-    """Derivative of the carrier of g at the grid's interior nodes: one
-    lattice convolution when g lies on the operator interval, else
-    d_frac_at at those nodes."""
-    xs = g.nodes()[1:-1]
-    if g.interval == p.interval:
-        vals = _d_lattice(g, p)[1:-1]
+def d_frac_numeric(g: GridFunction, p: OperatorParams,
+                   n_out: int) -> OperatorReport:
+    """Derivative of the carrier of g at the nodes d_frac_ac uses: every
+    step-th value of one lattice convolution when those nodes lie on g's
+    lattice (g on the operator interval, step = g.n/(n_out + 1) whole),
+    else d_frac_at at them."""
+    if n_out < 2:
+        raise ValueError(f"n_out must be at least 2, got {n_out}")
+    xs = _interior_nodes(p, n_out)
+    step, off = divmod(g.n, n_out + 1)
+    if g.interval == p.interval and off == 0:
+        vals = _d_lattice(g, p)
+        vals = vals[step::step] if p.side == Side.LEFT else vals[:-1:step]
     else:
         vals = d_frac_at(g, p, xs)
-    return GridFunction(Interval(float(xs[0]), float(xs[-1])), vals)
+    return OperatorReport(GridFunction(Interval(float(xs[0]), float(xs[-1])),
+                                       vals),
+                          np.ones(xs.size, dtype=bool), _carrier_err(g))
 
 
 def d_frac_at(g: GridFunction, p: OperatorParams,
@@ -168,7 +176,7 @@ def check_inversion_ds(phi: FunctionSpec, p: OperatorParams,
     margin = 0.0205 * p.interval.width
     xs = np.linspace(p.interval.a + margin, p.interval.b - margin, n_check)
     idx = np.rint((xs - p.interval.a) / s_phi.spacing).astype(int)
-    dvals = d_frac_numeric(s_phi, p).values[idx - 1]
+    dvals = _d_lattice(s_phi, p)[idx]
     target = phi.fn(s_phi.nodes()[idx])
     if p.side == Side.RIGHT:
         target = -target

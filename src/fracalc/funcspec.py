@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .special import e1, e1_array
+from .special import e1_array
 
 
 class ParseError(ValueError):
@@ -264,45 +264,6 @@ def write_grid_csv(path: str | Path, g: GridFunction) -> None:
         writer = csv.writer(fh)
         for x, v in zip(g.nodes(), g.values):
             writer.writerow([f"{x:.15g}", f"{v:.15g}"])
-
-
-def eval_spec(f: FunctionSpec, x: float, ctx: Interval, alpha: float = 1.0) -> float:
-    """Evaluate a catalog function at a point of [a, b].
-
-    alpha scales the E1 kernel variants; the kernels are unbounded at
-    their endpoint and raise there.
-    """
-    if not ctx.a <= x <= ctx.b:
-        raise ValueError(f"x={x} outside [{ctx.a}, {ctx.b}]")
-    match f:
-        case Const(c):
-            return c
-        case Poly(coeffs):
-            acc = 0.0
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
-        case PowShiftLeft(n):
-            return (x - ctx.a) ** n
-        case PowShiftRight(n):
-            return (ctx.b - x) ** n
-        case Sin(w, amp):
-            return amp * math.sin(w * x)
-        case Cos(w, amp):
-            return amp * math.cos(w * x)
-        case Exp(k, amp):
-            return amp * math.exp(k * x)
-        case E1KernelLeft():
-            if x == ctx.a:
-                raise ValueError("E1 kernel is unbounded at x = a")
-            return e1((x - ctx.a) / alpha)
-        case E1KernelRight():
-            if x == ctx.b:
-                raise ValueError("E1 kernel is unbounded at x = b")
-            return e1((ctx.b - x) / alpha)
-        case Grid(fn, _):
-            return float(fn(x))
-    raise TypeError(f"not a FunctionSpec: {f!r}")
 
 
 def eval_spec_array(f: FunctionSpec, x: np.ndarray, ctx: Interval,

@@ -9,10 +9,12 @@ after the substitution z = (x - t)/alpha:
 
 Analytic inputs run through the adaptive engine with the kernel's log
 singularity declared, as one batch over all output points: one integrand
-call per refinement round across all of them.  The S kernel's
-non-removable singularity is split at delta = 1e-3; its head takes f as
-the quadratic through its samples at z = 0, delta/2 and delta, against Q
-and the first two moments of S.  Grid inputs are integrated exactly
+call per refinement round across all of them.  S takes its
+non-removable singularity through special.s_weighted_batch, whose head
+[0, delta] takes f as a quadratic against Q and the first two moments of
+S; delta = 1e-3 in z, scaled down by width/alpha when alpha exceeds the
+interval's width, so the head spans at most 1e-3 of the interval in t.
+Grid inputs are integrated exactly
 (piecewise-linear carrier against closed kernel moments), which keeps
 the L^p norm inequalities honest at machine precision.  On the input's
 own lattice, or a sub-lattice of it, both kernels run as Toeplitz
@@ -46,15 +48,15 @@ from .funcspec import (
 from .quadrature import QuadResult, Singularity, integrate_batch
 from .special import (
     Accuracy,
-    CONSTANTS,
     DEFAULT_ACCURACY,
+    EULER_GAMMA,
+    ZETA2,
     e1_array,
     e1_cumulative0_array,
     e1_cumulatives_array,
     ek,
     s_cell_moments,
-    s_head_moments,
-    volterra_s_array,
+    s_weighted_batch,
 )
 
 
@@ -99,11 +101,12 @@ def _clip_pos(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 1e-308)
 
 
-def _far_end_singular(f: FunctionSpec, p: OperatorParams) -> bool:
+def _marker(f: FunctionSpec, p: OperatorParams) -> Singularity:
+    """The kernel's log singularity at z = 0, and at the far end too when
+    f blows up there."""
     end = singular_endpoint(f)
-    if end is None:
-        return False
-    return (end == "a") if p.side == Side.LEFT else (end == "b")
+    far = "a" if p.side == Side.LEFT else "b"
+    return Singularity.LOG_BOTH if end == far else Singularity.LOG_LEFT
 
 
 def _f_along(f: FunctionSpec, p: OperatorParams, x: np.ndarray,
@@ -116,59 +119,44 @@ def _f_along(f: FunctionSpec, p: OperatorParams, x: np.ndarray,
     return eval_spec_array(f, t, p.interval, p.alpha)
 
 
-def _kernel_batch(f: FunctionSpec, p: OperatorParams, x: np.ndarray,
-                  z_lo: np.ndarray, z_hi: np.ndarray,
-                  kernel: Callable) -> QuadResult:
-    """The integrals of kernel(z) f(x_i -/+ alpha z) over (z_lo_i, z_hi_i),
-    one adaptive batch for all points."""
-    def integrand(z: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return kernel(_clip_pos(z)) * _f_along(f, p, x[owner], z)
-
-    marker = Singularity.LOG_BOTH if _far_end_singular(f, p) else Singularity.LOG_LEFT
-    return integrate_batch(integrand, z_lo, z_hi, marker, p.acc)
+def _scatter(on: np.ndarray, res: QuadResult,
+             scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, converged flags and error estimates at every point, from
+    the batch over the points `on` (reduced coordinate > 0), scaled: 0,
+    converged and exact at the others."""
+    vals, errs = np.zeros(on.size), np.zeros(on.size)
+    conv = np.ones(on.size, dtype=bool)
+    vals[on], errs[on] = scale * res.value, scale * res.err_estimate
+    conv[on] = res.converged
+    return vals, conv, errs
 
 
 def _j_analytic(f: FunctionSpec, p: OperatorParams,
                 xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Z = p.reduced(xs)
     on = Z > 0.0
-    vals, errs = np.zeros_like(xs), np.zeros_like(xs)
-    conv = np.ones_like(xs, dtype=bool)
-    res = _kernel_batch(f, p, xs[on], 0.0, Z[on], e1_array)
-    vals[on], conv[on], errs[on] = res.value, res.converged, res.err_estimate
-    return vals, conv, errs
+    x = xs[on]
+    res = integrate_batch(
+        lambda z, owner: e1_array(_clip_pos(z)) * _f_along(f, p, x[owner], z),
+        0.0, Z[on], _marker(f, p), p.acc)
+    return _scatter(on, res, 1.0)
 
 
-_S_DELTA = 1e-3  # singular-split point for the S kernel
+# Width in z of the S head.  Past alpha = width it shrinks by width/alpha,
+# so the head, where f is taken as a quadratic, never spans more than 1e-3
+# of the interval in t.
+_S_DELTA = 1e-3
 
 
 def _s_analytic(f: FunctionSpec, p: OperatorParams,
                 xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Z = p.reduced(xs)
     on = Z > 0.0
-    x, Z = xs[on], Z[on]
-    alpha = p.alpha
-    delta = np.minimum(Z, _S_DELTA)
-    g0, gm, gd = _f_along(f, p, np.tile(x, 3),
-                          np.concatenate([0.0 * delta, 0.5 * delta, delta])
-                          ).reshape(3, x.size)
-    q_head, m1_head, m2_head = s_head_moments(delta, p.acc)
-    # head quadratic in z through the three samples; its change from the
-    # chord through 0 and delta bounds its residual
-    curv = 2.0 * (g0 - 2.0 * gm + gd) / (delta * delta)
-    slope = (gd - g0) / delta - curv * delta
-    head = alpha * (g0 * q_head + slope * m1_head + curv * m2_head)
-    head_err = alpha * np.abs(curv) * (delta * m1_head - m2_head)
-    body = Z > delta
-    res = _kernel_batch(f, p, x[body], delta[body], Z[body],
-                        lambda z: volterra_s_array(z, p.acc))
-    head[body] += alpha * res.value
-    head_err[body] += alpha * res.err_estimate
-    vals, errs = np.zeros_like(xs), np.zeros_like(xs)
-    conv = np.ones_like(xs, dtype=bool)
-    vals[on], errs[on] = head, head_err
-    conv[np.nonzero(on)[0][body]] = res.converged
-    return vals, conv, errs
+    x = xs[on]
+    delta = np.minimum(Z[on], _S_DELTA * min(1.0, p.interval.width / p.alpha))
+    res = s_weighted_batch(lambda z, i: _f_along(f, p, x[i], z), delta,
+                           Z[on], _marker(f, p), p.acc)
+    return _scatter(on, res, p.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +493,7 @@ def j_closed_e1kernel(p: OperatorParams, x):
         raise ValueError("the E1-kernel closed form needs x strictly inside")
 
     def form(x, r, e):
-        g = CONSTANTS.euler_gamma
+        g = EULER_GAMMA
         lnr = np.log(r)
         series = np.zeros_like(r)
         term = np.ones_like(r)
@@ -517,7 +505,7 @@ def j_closed_e1kernel(p: OperatorParams, x):
                 break
         return (2.0 * (g + lnr) * np.exp(-r)
                 + 2.0 * (1.0 - g * r - r * lnr) * e
-                - r * (CONSTANTS.zeta2 + (g + lnr) ** 2)
+                - r * (ZETA2 + (g + lnr) ** 2)
                 - 2.0 * r * series)
 
     return _closed(p, x, form)

@@ -8,11 +8,13 @@ the rounding of the Kronrod sum itself.  integrate_batch
 refines many integrals together in rounds: each round splits, in every
 integral still above its tolerance, the panels whose error exceeds that
 integral's share of it, and evaluates all new panels of all integrals in
-one integrand call.  Integrands are vector-only.  Declared singular
-endpoints are seeded with geometrically graded panels (ratio 1/4, at
-least 12 levels).  Semi-infinite integrals map (a, inf) onto (0, 1) via
-t = a + u/(1-u).  integrate, integrate_semi_infinite and laplace are
-batches of one.
+one integrand call.  Every integrand is a vector function.  Declared
+singular endpoints are seeded with geometrically graded panels (ratio
+1/4, at least 12 levels).  Semi-infinite integrals map (a, inf) onto
+(0, 1) via t = a + u/(1-u).  integrate, integrate_semi_infinite and laplace are
+batches of one.  No endpoint marker reaches the mass of the S kernel
+below floating-point resolution; integrals against S go through
+special.s_weighted_batch.
 
 Non-convergence is reported through QuadResult.converged rather than
 raised: operator sweeps over many output points aggregate the flags.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,25 +79,6 @@ class Singularity(Enum):
     LOG_LEFT = "log-at-left"
     LOG_RIGHT = "log-at-right"
     LOG_BOTH = "log-at-both"
-    INTEGRABLE_LEFT = "integrable-at-left"
-
-
-@dataclass
-class Integrand:
-    """Real-to-real integrand on an open interval.
-
-    f maps an array of nodes to the array of its values, of the same
-    shape; the engine calls it once per refinement round, on 15 nodes per
-    new panel.  Integrands carrying the integrable-at-left marker must supply
-    cumulative_from_left (the exact cumulative integral from the singular
-    endpoint, anchored at 0) and first_moment_from_left; the engine cannot
-    otherwise reach the mass sitting below floating-point resolution.
-    """
-
-    f: Callable[[np.ndarray], np.ndarray]
-    singularity: Singularity = Singularity.NONE
-    cumulative_from_left: Optional[Callable[[float], float]] = None
-    first_moment_from_left: Optional[Callable[[float], float]] = None
 
 
 @dataclass
@@ -230,67 +213,36 @@ def _single(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                       int(r.panels_used[0]), bool(r.converged[0]))
 
 
-def integrate(f: Integrand, a: float, b: float,
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+              marker: Singularity = Singularity.NONE,
               acc: Accuracy = DEFAULT_ACCURACY) -> QuadResult:
-    """Adaptive integral of f over (a, b)."""
+    """Adaptive integral of the vector function f over (a, b)."""
     if not a < b:
         raise ValueError(f"integrate requires a < b, got a={a}, b={b}")
-
-    if f.singularity == Singularity.INTEGRABLE_LEFT:
-        if f.cumulative_from_left is None:
-            raise ValueError(
-                "integrable-at-left integrands need cumulative_from_left"
-            )
-        if a != 0.0:
-            raise ValueError(
-                "integrable-at-left cumulative hooks are anchored at 0; "
-                f"got left endpoint {a}"
-            )
-        delta = min(0.5 * (b - a), 1e-6)
-        head = f.cumulative_from_left(delta)
-        body = integrate(Integrand(f.f, Singularity.LOG_LEFT), delta, b, acc)
-        return QuadResult(head + body.value, body.err_estimate,
-                          body.panels_used, body.converged)
-
-    return _single(f.f, a, b, f.singularity, acc, _GRADE_LEVELS)
+    return _single(f, a, b, marker, acc, _GRADE_LEVELS)
 
 
-def integrate_semi_infinite(f: Integrand, a: float,
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], a: float,
+                            marker: Singularity = Singularity.NONE,
                             acc: Accuracy = DEFAULT_ACCURACY) -> QuadResult:
-    """Integral of f over (a, inf) via t = a + u/(1-u), u in (0, 1)."""
+    """Integral of f over (a, inf) via t = a + u/(1-u), u in (0, 1); marker
+    declares f's behaviour at a."""
 
     def g(u: np.ndarray) -> np.ndarray:
         one_m = 1.0 - u
         t = a + u / one_m
-        return f.f(t) / (one_m * one_m)
+        return f(t) / (one_m * one_m)
 
-    left_log = f.singularity in (Singularity.LOG_LEFT, Singularity.LOG_BOTH)
-    marker = Singularity.LOG_BOTH if left_log else Singularity.LOG_RIGHT
-    return _single(g, 0.0, 1.0, marker, acc, _GRADE_LEVELS_TAIL)
+    left_log = marker in (Singularity.LOG_LEFT, Singularity.LOG_BOTH)
+    u_marker = Singularity.LOG_BOTH if left_log else Singularity.LOG_RIGHT
+    return _single(g, 0.0, 1.0, u_marker, acc, _GRADE_LEVELS_TAIL)
 
 
-def laplace(f: Integrand, lam: float,
+def laplace(f: Callable[[np.ndarray], np.ndarray], lam: float,
+            marker: Singularity = Singularity.NONE,
             acc: Accuracy = DEFAULT_ACCURACY) -> QuadResult:
     """Laplace transform int_0^inf exp(-lam t) f(t) dt at lam > 0."""
     if not lam > 0.0:
         raise ValueError(f"laplace requires lambda > 0, got {lam}")
-
-    def weighted(t: np.ndarray) -> np.ndarray:
-        return np.exp(-lam * t) * f.f(t)
-
-    if f.singularity == Singularity.INTEGRABLE_LEFT:
-        if f.cumulative_from_left is None or f.first_moment_from_left is None:
-            raise ValueError(
-                "laplace of an integrable-at-left integrand needs both "
-                "cumulative hooks"
-            )
-        delta = 1e-6
-        # exp(-lam t) ~ 1 - lam t on [0, delta]; the quadratic remainder is
-        # bounded by 0.5 lam^2 delta * first_moment(delta)
-        head = f.cumulative_from_left(delta) - lam * f.first_moment_from_left(delta)
-        body = integrate_semi_infinite(
-            Integrand(weighted, Singularity.LOG_LEFT), delta, acc)
-        return QuadResult(head + body.value, body.err_estimate,
-                          body.panels_used, body.converged)
-
-    return integrate_semi_infinite(Integrand(weighted, f.singularity), 0.0, acc)
+    return integrate_semi_infinite(lambda t: np.exp(-lam * t) * f(t), 0.0,
+                                   marker, acc)

@@ -127,10 +127,10 @@ def discrete_oscillation(g: GridFunction) -> float:
     return float(np.max(np.abs(np.diff(g.values))))
 
 
-# Growth of the sup change over one streak of growing sweeps that stops a
+# Growth of the sup change over its smallest value so far that stops a
 # kappa >= 1 run: 2^52, beyond which the iterate keeps no significant digit
-# at the scale the streak started from.  Runs that do converge grow by far
-# less on their way (5.3e6 over 58 sweeps at alpha 1, lambda 3, g = 1).
+# at the scale of its best sweep.  Runs that do converge grow by far less
+# on their way (5.3e6 over 58 sweeps at alpha 1, lambda 3, g = 1).
 _DIVERGENCE_GROWTH = 2.0 ** 52
 
 
@@ -143,11 +143,11 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
     contraction guarantee does not apply and the diagnostics carry a
     warning instead of a convergence claim by contraction.  Such a run
     may still converge after a transient growth, so it stops early only
-    once its sup change has grown in consecutive sweeps by more than
-    _DIVERGENCE_GROWTH in total, and returns that last iterate,
-    unconverged; an iterate that overflows first ends the run at the
-    last finite one.  acc reaches every kernel evaluation (kappa and each
-    T); a kernel that exceeds its work budget raises RuntimeError.
+    once its sup change exceeds _DIVERGENCE_GROWTH times the smallest sup
+    change before it, and returns that last iterate, unconverged; an
+    iterate that overflows first ends the run at the last finite one.
+    acc reaches every kernel evaluation (kappa and each T); a kernel that
+    exceeds its work budget raises RuntimeError.
     """
     if u0.interval != TIME_DOMAIN or u0.n != prob.grid_n:
         raise ValueError(
@@ -159,7 +159,7 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
     u = u0.values.copy()
     sup_changes: list[float] = []
     converged = False
-    streak_start = math.inf  # sup change before the current growth streak
+    smallest = math.inf  # smallest sup change of the sweeps before this one
     for _ in range(prob.max_iter):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -171,17 +171,14 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
             change = float(np.max(np.abs(u_next - u)))
         if not np.isfinite(change):
             break
-        if sup_changes and change > sup_changes[-1]:
-            streak_start = min(streak_start, sup_changes[-1])
-        else:
-            streak_start = math.inf
         sup_changes.append(change)
         u = u_next
         if change < prob.tol:
             converged = True
             break
-        if warning and change > _DIVERGENCE_GROWTH * streak_start:
+        if warning and change > _DIVERGENCE_GROWTH * smallest:
             break
+        smallest = min(smallest, change)
     return (GridFunction(TIME_DOMAIN, u),
             SolveDiagnostics(len(sup_changes), sup_changes, kappa, converged,
                              warning))

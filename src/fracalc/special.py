@@ -22,18 +22,23 @@ on such integrands (the discretization error is below 1e-20).
 Q is never computed by integrating S directly: S blows up like
 1/(x ln^2 x) at 0+ and the mass below the smallest positive double is
 about 1.4e-3, far above any useful tolerance.  The v-integrals carry that
-mass exactly, and every routine here that meets the S singularity routes
-the near-zero part through Q.
+mass exactly, and every integral against S runs through s_weighted_batch,
+which takes its head near 0 from Q and the first two moments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .quadrature import QuadResult, Singularity
+
 EULER_GAMMA = 0.57721566490153286060651209
+ZETA2 = math.pi * math.pi / 6.0
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -77,17 +82,6 @@ class Accuracy:
 
 
 DEFAULT_ACCURACY = Accuracy()
-
-
-@dataclass(frozen=True)
-class SpecialConstants:
-    """Mathematical constants used by the closed-form evaluators."""
-
-    euler_gamma: float = EULER_GAMMA
-    zeta2: float = math.pi * math.pi / 6.0
-
-
-CONSTANTS = SpecialConstants()
 
 
 # ---------------------------------------------------------------------------
@@ -637,46 +631,61 @@ def s_head_moments(delta: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY
     return np.array([heads[d] for d in delta.tolist()]).reshape(-1, 3).T
 
 
+def s_weighted_batch(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     delta, b, marker: Singularity,
+                     acc: Accuracy = DEFAULT_ACCURACY) -> QuadResult:
+    """int_0^(b_i) S(z) phi(z, i) dz for every i: the one rule for an
+    integral against S.
+
+    phi(z, i) returns the weight at z[k] for the integral i[k].  On the head
+    [0, delta_i] phi is taken as the quadratic through its values at 0,
+    delta_i/2 and delta_i, integrated against Q and the first two moments
+    of S; the quadratic's change from the chord through 0 and delta_i
+    bounds the head's error.  The body (delta_i, b_i), where b_i > delta_i,
+    is one adaptive batch under marker.  Returns arrays, one entry per
+    integral; converged reports the body (true where there is none).
+    """
+    from .quadrature import QuadResult, integrate_batch  # layering one-way
+
+    delta, b = np.broadcast_arrays(np.asarray(delta, dtype=float).ravel(),
+                                   np.asarray(b, dtype=float).ravel())
+    m = delta.size
+    g0, gm, gd = phi(np.concatenate([0.0 * delta, 0.5 * delta, delta]),
+                     np.tile(np.arange(m), 3)).reshape(3, m)
+    q_head, m1_head, m2_head = s_head_moments(delta, acc)
+    curv = 2.0 * (g0 - 2.0 * gm + gd) / (delta * delta)
+    slope = (gd - g0) / delta - curv * delta
+    value = g0 * q_head + slope * m1_head + curv * m2_head
+    err = np.abs(curv) * (delta * m1_head - m2_head)
+    panels, conv = np.zeros(m, dtype=int), np.ones(m, dtype=bool)
+    body = np.nonzero(b > delta)[0]
+    res = integrate_batch(
+        lambda z, owner: volterra_s_array(z, acc) * phi(z, body[owner]),
+        delta[body], b[body], marker, acc)
+    value[body] += res.value
+    err[body] += res.err_estimate
+    panels[body], conv[body] = res.panels_used, res.converged
+    return QuadResult(value, err, panels, conv)
+
+
 def e1_s_convolution_array(x: np.ndarray,
                            acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray:
     """(E1 * S)(x) = int_0^x E1(x - z) S(z) dz, identically 1 for x > 0,
-    at a 1-D array of points: one adaptive batch for all of them.
-
-    The S end routes [0, delta] through Q with a first-order correction;
-    the E1 end is integrated with geometric grading.  Used as a pipeline
-    check that the two kernel evaluations are mutually consistent.
+    at a 1-D array of points: one s_weighted_batch for all of them, with
+    the head on [0, min(x/4, 1e-6)] and the body graded toward both ends.
+    Used as a pipeline check that the two kernel evaluations are mutually
+    consistent.
     """
     x = np.asarray(x, dtype=float).ravel()
     if not np.all(x > 0.0):
         raise ValueError("e1_s_convolution requires x > 0")
-    from . import quadrature  # local import to keep layering one-way
+    from .quadrature import Singularity
 
-    delta = np.minimum(0.25 * x, 1e-6)
-    q_head, b_head, _ = s_head_moments(delta, acc)
-    # E1(x - z) ~ E1(x) + z e^{-x}/x near z = 0
-    head = e1_array(x) * q_head + np.exp(-x) / x * b_head
-
-    def f(z: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return e1_array(x[owner] - z) * volterra_s_array(z, acc)
-
-    body = quadrature.integrate_batch(
-        f, delta, x, quadrature.Singularity.LOG_BOTH, acc)
-    return head + body.value
+    return s_weighted_batch(lambda z, i: e1_array(x[i] - z),
+                            np.minimum(0.25 * x, 1e-6), x,
+                            Singularity.LOG_BOTH, acc).value
 
 
 def e1_s_convolution(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """(E1 * S)(x) at one point x > 0, by e1_s_convolution_array."""
     return float(e1_s_convolution_array(np.array([x]), acc)[0])
-
-
-def volterra_integrand(acc: Accuracy = DEFAULT_ACCURACY):
-    """S wrapped as a quadrature Integrand with the Q/first-moment hooks
-    the engine needs to honour the integrable-at-left marker."""
-    from . import quadrature
-
-    return quadrature.Integrand(
-        f=lambda t: volterra_s_array(t, acc),
-        singularity=quadrature.Singularity.INTEGRABLE_LEFT,
-        cumulative_from_left=lambda d: s_cumulative(d, acc),
-        first_moment_from_left=lambda d: s_first_moment(d, acc),
-    )

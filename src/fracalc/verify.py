@@ -54,10 +54,11 @@ from .operators import (
 from .special import (
     Accuracy,
     DEFAULT_ACCURACY,
+    _S_SATURATION,
     e1_array,
     e1_s_convolution_array,
     s_cumulative,
-    volterra_integrand,
+    s_weighted_batch,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -124,19 +125,23 @@ def _trapz_norm(values: np.ndarray, spacing: float, p: float) -> float:
 # laplace suite
 # ---------------------------------------------------------------------------
 
-# E1 on (0, inf); the clip keeps every node inside e1_array's domain x > 0
-_E1_INTEGRAND = quadrature.Integrand(
-    lambda t: e1_array(np.maximum(t, 1e-300)), quadrature.Singularity.LOG_LEFT)
+def _e1_positive(t: np.ndarray) -> np.ndarray:
+    """E1 on (0, inf); the clip keeps every node inside e1_array's domain."""
+    return e1_array(np.maximum(t, 1e-300))
 
 
 def suite_laplace(alphas=None, acc: Accuracy = DEFAULT_ACCURACY) -> list[CheckRow]:
     rows = []
     for lam in (0.5, 1.0, 2.0):
-        val = quadrature.laplace(_E1_INTEGRAND, lam, acc).value
+        val = quadrature.laplace(_e1_positive, lam,
+                                 quadrature.Singularity.LOG_LEFT, acc).value
         rows.append(_diff_row("laplace_e1", "-", lam, val,
                               math.log1p(lam) / lam, 1e-6))
+    # S against exp(-lam z) on [0, 40], and the closed tail of S = 1 past it
     lam = math.e - 1.0
-    val = quadrature.laplace(volterra_integrand(acc), lam, acc).value
+    res = s_weighted_batch(lambda z, i: np.exp(-lam * z), 1e-6,
+                           _S_SATURATION, quadrature.Singularity.LOG_LEFT, acc)
+    val = float(res.value[0]) + math.exp(-_S_SATURATION * lam) / lam
     rows.append(_diff_row("laplace_s", "-", lam, val, 1.0, 1e-5))
     xs = (0.1, 0.5, 1.0, 2.0)
     for x, val in zip(xs, e1_s_convolution_array(np.array(xs), acc)):
@@ -302,7 +307,8 @@ def _semigroup_rows(acc: Accuracy) -> list[CheckRow]:
 def suite_integrals(alphas=None, acc: Accuracy = DEFAULT_ACCURACY) -> list[CheckRow]:
     alphas = tuple(alphas) if alphas else (0.3, 1.0)
     rows = []
-    norm_res = quadrature.integrate_semi_infinite(_E1_INTEGRAND, 0.0, acc)
+    norm_res = quadrature.integrate_semi_infinite(
+        _e1_positive, 0.0, quadrature.Singularity.LOG_LEFT, acc)
     rows.append(_diff_row("e1_normalization", "-", 0.0, norm_res.value,
                           1.0, 1e-8))
     rows.extend(_closed_form_rows(alphas, acc))

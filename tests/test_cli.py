@@ -82,7 +82,7 @@ class TestApply:
         args = ["apply", "--op", "d", "--side", "left", "--alpha", "0.4",
                 "--interval", "0,1"]
         code, grid_out, _ = run_main(
-            args + ["--spec", f"grid:{tmp_path / 'g.csv'}", "--n-out", "512"],
+            args + ["--spec", f"grid:{tmp_path / 'g.csv'}", "--n-out", "511"],
             capsys)
         assert code == 0
         code, exact_out, _ = run_main(
@@ -92,6 +92,24 @@ class TestApply:
         exact_row = exact_out.splitlines()[1].split(",")
         assert float(grid_row[0]) == float(exact_row[0]) == 1.0 / 512
         assert abs(float(grid_row[1]) - float(exact_row[1])) < 1e-4
+
+    def test_grid_derivative_honours_interval_and_n_out(self, tmp_path,
+                                                         capsys):
+        # the nodes of the analytic route: n_out + 1 rows in (a, b] on the
+        # left, none of them outside the operator interval
+        write_grid_csv(tmp_path / "g.csv",
+                       sample_spec(Sin(3.0), Interval(0.0, 1.0), 16))
+        args = ["apply", "--op", "d", "--side", "left", "--alpha", "0.5",
+                "--interval", "0.3,0.8", "--n-out", "4"]
+        code, grid_out, _ = run_main(
+            args + ["--spec", f"grid:{tmp_path / 'g.csv'}"], capsys)
+        assert code == 0
+        code, exact_out, _ = run_main(args + ["--spec", "sin:3"], capsys)
+        grid_rows = [r.split(",") for r in grid_out.splitlines()[1:]]
+        exact_rows = [r.split(",") for r in exact_out.splitlines()[1:]]
+        assert len(grid_rows) == 5
+        assert all(0.3 < float(r[0]) <= 0.8 for r in grid_rows)
+        assert [r[0] for r in grid_rows] == [r[0] for r in exact_rows]
 
     def test_bad_spec_exits_2(self, capsys):
         code, _, err = run_main(

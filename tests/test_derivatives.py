@@ -84,7 +84,7 @@ class TestAcRepresentation:
         ac = AcFunction.from_catalog(f, UNIT)
         assert ac.boundary_value == 0.0
         g = sample_spec(f, UNIT, 1024)
-        dnum = d_frac_numeric(g, p)
+        dnum = d_frac_numeric(g, p, 1023).outputs
         nodes = dnum.nodes()
         # the comparison is an interior-point one: the AC output is read
         # off its own grid by linear interpolation
@@ -112,7 +112,7 @@ class TestNumericRoute:
     def test_matches_kernel_term_for_constant(self):
         p = left(0.4)
         g = sample_spec(Const(1.0), UNIT, 512)
-        dnum = d_frac_numeric(g, p)
+        dnum = d_frac_numeric(g, p, 511).outputs
         nodes = dnum.nodes()
         keep = (nodes >= 0.1) & (nodes <= 0.9)
         expect = e1_array(nodes[keep] / 0.4) / 0.4
@@ -120,7 +120,7 @@ class TestNumericRoute:
 
     def test_zero_input(self):
         g = sample_spec(Const(0.0), UNIT, 64)
-        dnum = d_frac_numeric(g, left(0.7))
+        dnum = d_frac_numeric(g, left(0.7), 63).outputs
         assert np.max(np.abs(dnum.values)) == 0.0
 
     @pytest.mark.parametrize("p", [left(0.3), right(0.7)],
@@ -129,9 +129,24 @@ class TestNumericRoute:
         # the lattice convolution and the off-lattice blocks sum the same
         # terms in different orders
         g = GridFunction(UNIT, rng.standard_normal(129))
-        dnum = d_frac_numeric(g, p)
-        dat = d_frac_at(g, p, g.nodes()[1:-1])
+        dnum = d_frac_numeric(g, p, 127).outputs
+        dat = d_frac_at(g, p, dnum.nodes())
         assert np.max(np.abs(dnum.values - dat)) <= 1e-13 * np.max(np.abs(dat))
+
+    @pytest.mark.parametrize("p", [left(0.3), right(0.7)],
+                             ids=["left", "right"])
+    @pytest.mark.parametrize("n_out", [31, 20], ids=["sub-lattice", "off"])
+    def test_output_nodes_are_those_of_d_frac_ac(self, p, n_out, rng):
+        # every 4th lattice value at n_out = 31; off the lattice at 20
+        g = GridFunction(UNIT, rng.standard_normal(129))
+        rep = d_frac_numeric(g, p, n_out)
+        ac = d_frac_ac(AcFunction.from_catalog(Const(1.0), UNIT, p.side),
+                       p, n_out)
+        assert rep.outputs.interval == ac.outputs.interval
+        assert rep.outputs.n == n_out and np.all(rep.per_point_converged)
+        dat = d_frac_at(g, p, rep.outputs.nodes())
+        assert np.max(np.abs(rep.outputs.values - dat)) <= 1e-13 * np.max(
+            np.abs(dat))
 
     def test_recovers_integrand_of_second_kind(self):
         rep = check_inversion_ds(Sin(1.0), left(0.5))
@@ -173,8 +188,8 @@ class TestExactCarrierDerivative:
                              ids=["left", "right"])
     def test_lattice_against_scipy(self, p, rng):
         g = GridFunction(UNIT, rng.standard_normal(97))
-        dnum = d_frac_numeric(g, p)
-        ref = carrier_d_reference(g, p, g.nodes()[1:-1])
+        dnum = d_frac_numeric(g, p, 95).outputs
+        ref = carrier_d_reference(g, p, dnum.nodes())
         assert np.max(np.abs(dnum.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT],
@@ -201,11 +216,11 @@ class TestExactCarrierDerivative:
         dat = d_frac_at(g, p, xs)
         ref = carrier_d_reference(g, p, xs)
         assert np.max(np.abs(dat - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # the same via d_frac_numeric at the grid's nodes inside iv
-        dnum = d_frac_numeric(g, p)
-        inside = (dnum.nodes() > iv.a) & (dnum.nodes() < iv.b)
-        ref = carrier_d_reference(g, p, dnum.nodes()[inside])
-        assert np.max(np.abs(dnum.values[inside] - ref)) <= 1e-12 * np.max(
+        # the same via d_frac_numeric, whose output nodes lie in iv
+        dnum = d_frac_numeric(g, p, 12).outputs
+        assert iv.a <= dnum.interval.a and dnum.interval.b <= iv.b
+        ref = carrier_d_reference(g, p, dnum.nodes())
+        assert np.max(np.abs(dnum.values - ref)) <= 1e-12 * np.max(
             np.abs(ref))
 
     def test_zero_at_and_beyond_the_anchor(self):

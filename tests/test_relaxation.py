@@ -1,6 +1,7 @@
 """Relaxation solver: contraction constant, solution operator, Picard
 iteration, and the JSON/CSV interfaces."""
 
+import itertools
 import json
 import math
 
@@ -211,6 +212,23 @@ class TestPicard:
                      "--diagnostics", str(diag_path)]) == 0
         assert len(out.read_text().strip().splitlines()) == 258
         assert json.loads(diag_path.read_text())["converged"] is False
+
+    def test_drifting_divergence_stops(self):
+        # kappa = 7.5: the sup change grows fast for about 100 sweeps, then
+        # drifts upward in short streaks, none of which grows by 2^52;
+        # measured from the smallest change so far, the run stops at about
+        # sweep 660 instead of running all 3000
+        prob = RelaxationProblem(alpha=0.5, lam=6.0,
+                                 rhs=Autonomous(Const(1.0)), max_iter=3000)
+        u, diag = solve_picard(prob, zeros())
+        assert diag.contraction_warning and not diag.converged
+        assert diag.iterations < 1000
+        changes = diag.sup_changes
+        smallest = list(itertools.accumulate(changes, min))
+        assert changes[-1] > 2.0 ** 52 * smallest[-2]
+        assert all(c <= 2.0 ** 52 * m
+                   for c, m in zip(changes[1:-1], smallest))
+        assert np.all(np.isfinite(u.values))
 
     def test_supercritical_transient_still_converges(self):
         # kappa = 4.3: the sup change grows over 42 sweeps to 1.5e5, then

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from fracalc.special import (
     Accuracy,
-    CONSTANTS,
     EULER_GAMMA,
+    ZETA2,
     e1,
     e1_array,
     e1_moment,
@@ -25,6 +25,7 @@ from fracalc.special import (
     s_first_moment,
     s_head_moments,
     s_second_moment,
+    s_weighted_batch,
     volterra_s,
     volterra_s_array,
 )
@@ -307,6 +308,29 @@ class TestCumulative:
         assert np.array_equal(m2, [s_second_moment(d) for d in delta])
         assert np.all(m2 < delta * m1)
 
+    def test_weighted_batch_head_is_exact_on_quadratics(self):
+        from fracalc.quadrature import Singularity
+        delta = np.array([1e-6, 1e-3, 0.25])
+        c = np.array([1.0, -2.0, 3.0])
+        r = s_weighted_batch(lambda z, i: c[0] + c[1] * z + c[2] * z * z,
+                             delta, delta, Singularity.LOG_LEFT)
+        q, m1, m2 = s_head_moments(delta)
+        assert np.allclose(r.value, c[0] * q + c[1] * m1 + c[2] * m2,
+                           rtol=1e-14, atol=0.0)
+        # head only: no panels, converged, and the chord's change as the
+        # estimate (its curvature, read off the samples, cancels at 1e-6)
+        assert np.all(r.panels_used == 0) and np.all(r.converged)
+        assert np.allclose(r.err_estimate, c[2] * (delta * m1 - m2),
+                           rtol=1e-3, atol=0.0)
+
+    def test_weighted_batch_split_does_not_move_q(self):
+        from fracalc.quadrature import Singularity
+        delta = np.array([1e-6, 1e-3, 0.1])
+        r = s_weighted_batch(lambda z, i: np.ones_like(z), delta, 0.5,
+                             Singularity.LOG_LEFT)
+        assert np.all(r.converged) and np.all(r.panels_used > 0)
+        assert np.max(np.abs(r.value - s_cumulative(0.5))) < 1e-12
+
     @pytest.mark.parametrize("fn", [
         lambda acc: volterra_s_array(np.array([0.5]), acc),
         lambda acc: s_cumulative(0.5, acc),
@@ -380,25 +404,28 @@ class TestKernelIdentities:
         assert e1_s_convolution(x) == pytest.approx(1.0, abs=1e-6)
 
     def test_laplace_identities(self):
-        from fracalc.quadrature import Integrand, Singularity, laplace
-        from fracalc.special import volterra_integrand
-        e1_f = Integrand(lambda t: e1_array(np.maximum(t, 1e-300)),
-                         Singularity.LOG_LEFT)
-        for lam in (0.5, 1.0, 2.0, math.e - 1.0):
-            assert laplace(e1_f, lam).value == pytest.approx(
-                math.log1p(lam) / lam, abs=1e-6)
-            assert laplace(volterra_integrand(), lam).value == pytest.approx(
-                1.0 / math.log1p(lam), abs=1e-6)
-        assert laplace(volterra_integrand(),
-                       math.e - 1.0).value == pytest.approx(1.0, abs=1e-6)
+        from fracalc.quadrature import Singularity, laplace
+        lams = np.array([0.5, 1.0, 2.0, math.e - 1.0])
+        # S against exp(-lam z) up to 40, where S saturates at 1, plus
+        # the closed tail exp(-40 lam)/lam
+        s_hat = s_weighted_batch(lambda z, i: np.exp(-lams[i] * z), 1e-6,
+                                 40.0 * np.ones(lams.size),
+                                 Singularity.LOG_LEFT).value
+        s_hat += np.exp(-40.0 * lams) / lams
+        for lam, s_lam in zip(lams, s_hat):
+            e1_hat = laplace(lambda t: e1_array(np.maximum(t, 1e-300)), lam,
+                             Singularity.LOG_LEFT).value
+            assert e1_hat == pytest.approx(math.log1p(lam) / lam, abs=1e-6)
+            assert s_lam == pytest.approx(1.0 / math.log1p(lam), abs=1e-6)
+        assert s_hat[-1] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestConstants:
     def test_zeta2_construction(self):
-        assert CONSTANTS.zeta2 == math.pi ** 2 / 6.0
+        assert ZETA2 == math.pi ** 2 / 6.0
 
     def test_euler_gamma_window(self):
-        assert 0.577 < CONSTANTS.euler_gamma < 0.578
+        assert 0.577 < EULER_GAMMA < 0.578
 
 
 class TestAccuracy:
