@@ -24,8 +24,6 @@ its input.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -116,17 +114,25 @@ def _parse_spec_arg(text: str) -> FunctionSpec:
         raise SystemExit(f"bad function spec: {exc}")
 
 
-def _csv_text(header: list[str], rows) -> str:
-    """CSV text with "\n" line ends: the header, then one line per row of
-    Python values, bools as true/false and numbers at 15 significant
-    digits (rows from numpy arrays go through .tolist(), which formats
-    faster)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows([("true" if v else "false") if isinstance(v, bool)
-                 else _FMT.format(v) for v in row] for row in rows)
-    return buf.getvalue()
+def _column(values, rows: int) -> list[str]:
+    """One CSV column as text, from a list of Python values or from one
+    value repeated on every row (formatted once): bools as true/false,
+    numbers at 15 significant digits.  Columns from numpy arrays go
+    through .tolist(), which formats faster."""
+    if not isinstance(values, list):
+        return _column([values], 1) * rows
+    if values and isinstance(values[0], bool):
+        return ["true" if v else "false" for v in values]
+    return list(map(_FMT.format, values))
+
+
+def _csv_text(header: list[str], columns: list) -> str:
+    """CSV text with "\n" line ends: the header, then one line per row
+    across the columns.  Numbers, true/false and the header names hold no
+    comma, quote or line break, so no field needs CSV quoting."""
+    rows = max(len(c) for c in columns if isinstance(c, list))
+    lines = map(",".join, zip(*(_column(c, rows) for c in columns)))
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
@@ -140,10 +146,10 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     }
     fn = fns[args.which]
     try:
-        rows = [(x, fn(x)) for x in points]
+        values = [fn(x) for x in points]
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"kernel evaluation failed: {exc}")
-    _emit(_csv_text(["x", "value"], rows), args.out)
+    _emit(_csv_text(["x", "value"], [points, values]), args.out)
     return 0
 
 
@@ -167,10 +173,9 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         ac = AcFunction.from_catalog(spec, interval, side)
         report = d_frac_ac(ac, p, args.n_out)
     out = report.outputs
-    rows = zip(out.nodes().tolist(), out.values.tolist(),
-               report.per_point_converged.tolist(),
-               [report.worst_err_estimate] * out.values.size)
-    _emit(_csv_text(["x", "value", "converged", "err_estimate"], rows),
+    columns = [out.nodes().tolist(), out.values.tolist(),
+               report.per_point_converged.tolist(), report.worst_err_estimate]
+    _emit(_csv_text(["x", "value", "converged", "err_estimate"], columns),
           args.out)
     return 0
 
@@ -195,16 +200,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     g = spec if isinstance(spec, Grid) else Grid(sample_spec(spec, interval, n))
     spacing = g.fn.spacing
     ri = running_integral(g, interval, side, g.fn.n)
-    rows = []
+    j_dist, s_dist = [], []
     for alpha in alphas:
         p = OperatorParams(side, alpha, interval, acc)
         jv = apply_j(g, p, g.fn.n).outputs.values
         sv = apply_s(g, p, g.fn.n).outputs.values
-        jd = float(np.trapezoid(np.abs(jv - g.fn.values), dx=spacing))
-        sd = float(np.trapezoid(np.abs(sv - ri.values), dx=spacing))
-        rows.append((alpha, jd, sd))
-    _emit(_csv_text(["alpha", "j_l1_distance", "s_l1_distance"], rows),
-          args.out)
+        j_dist.append(float(np.trapezoid(np.abs(jv - g.fn.values),
+                                         dx=spacing)))
+        s_dist.append(float(np.trapezoid(np.abs(sv - ri.values), dx=spacing)))
+    _emit(_csv_text(["alpha", "j_l1_distance", "s_l1_distance"],
+                    [alphas, j_dist, s_dist]), args.out)
     return 0
 
 
@@ -227,7 +232,7 @@ def _cmd_relax(args: argparse.Namespace) -> int:
     else:
         raise SystemExit(f"u0 must be 'zero' or 'const:<c>', got {args.u0!r}")
     u, diag = solve_picard(prob, u0, acc)
-    _emit(_csv_text(["t", "u"], zip(u.nodes().tolist(), u.values.tolist())),
+    _emit(_csv_text(["t", "u"], [u.nodes().tolist(), u.values.tolist()]),
           args.out)
     diag_text = json.dumps(diagnostics_to_json(diag), indent=2) + "\n"
     if args.diagnostics:

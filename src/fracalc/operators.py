@@ -17,8 +17,10 @@ interval's width, so the head spans at most 1e-3 of the interval in t.
 Grid inputs are integrated exactly
 (piecewise-linear carrier against closed kernel moments), which keeps
 the L^p norm inequalities honest at machine precision.  On the input's
-own lattice, or a sub-lattice of it, both kernels run as Toeplitz
-convolutions, each a zero-padded real-FFT product in O(n log n); J at
+own lattice, or a sub-lattice of it, both kernels run as one Toeplitz
+convolution against the kernel's hat-function weights, a zero-padded
+real-FFT product in O(n log n) whose weight spectrum is cached per
+lattice, so a warm apply evaluates no kernel; J at
 other points is a blocked matrix product of closed E1 cumulative
 differences over [a, x] (left) or [x, b] (right), so the grid must cover
 the operator interval; S of a grid input exists only on its lattice.
@@ -166,7 +168,12 @@ def _s_analytic(f: FunctionSpec, p: OperatorParams,
 # the piecewise-linear carrier contributes
 #     v_j m0_j + alpha slope_j (z_far m0_j - m1_j)
 # with m0, m1 the kernel's moments over the cell's z-range and z_far the
-# z of its far node t_j.
+# z of its far node t_j.  Regrouped by node, cell l at lag l puts
+#     near_l = (z_far,l m0_l - m1_l)/dz  on its far node and
+#     far_l = m0_l - near_l               on its near node,
+# so on the lattice the integral at node i is
+#     v_0 far_(i-1) + sum_(k=1..i) v_k W_(i-k),
+# W_0 = near_0, W_L = near_L + far_(L-1): the hat-function weights.
 
 # nodes x points per off-lattice block: the E1 temporaries stay near
 # 128 KiB each, so peak memory does not grow with the number of points
@@ -182,19 +189,17 @@ def _oriented(g: GridFunction,
     return t, v, (v[1:] - v[:-1]) / g.spacing
 
 
-def _cell_sum(v: np.ndarray, slopes: np.ndarray, alpha: float,
-              z_far: np.ndarray, m0: np.ndarray, m1: np.ndarray,
-              contract: Callable) -> np.ndarray:
-    """The cell weights, summed by contract(cell values, cell moments):
-    _fft_convolve on the lattice, np.dot off it."""
-    return contract(v[:-1], m0) + contract(alpha * slopes, z_far * m0 - m1)
+def _fft_size(n: int) -> int:
+    """A power of two >= 2n - 1: a real-FFT product of two length-n
+    sequences zero-padded to it wraps no term of their linear convolution
+    onto the first n."""
+    return 1 << (2 * n - 2).bit_length()
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The first a.size terms of the linear convolution of a and b (same
-    length n): a real-FFT product zero-padded to a power of two >= 2n - 1,
-    so no term of the full length-(2n - 1) convolution wraps around."""
-    size = 1 << (2 * a.size - 2).bit_length()
+    length n), as a zero-padded real-FFT product."""
+    size = _fft_size(a.size)
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size),
                         size)[:a.size]
 
@@ -206,27 +211,44 @@ def _e1_cell_moments(dz: float, n: int,
     return np.diff(c0), np.diff(c1)
 
 
+def _s_cell_moments(dz: float, n: int,
+                    acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """S moments of the cells [k dz, (k+1) dz], k < n: the counterpart of
+    _e1_cell_moments, whose identity keys S in the _hat_weights cache."""
+    return s_cell_moments(dz, n, acc)
+
+
 @lru_cache(maxsize=32)
-def _s_cell_moments(dz: float, n: int, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """s_cell_moments of one lattice, cached read-only: sweeps and the
-    Picard loop apply S on the same few lattices many times."""
-    m0, m1 = s_cell_moments(dz, n, acc)
-    m0.setflags(write=False)
-    m1.setflags(write=False)
-    return m0, m1
+def _hat_weights(cell_moments: Callable, dz: float, n: int,
+                 acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum rfft(W, _fft_size(n)) of one kernel's hat-function
+    weights on one lattice, and its anchor weights far, cached read-only:
+    sweeps and the Picard loop apply J and S on the same few lattices many
+    times, and a warm apply then costs one rfft and one irfft."""
+    m0, m1 = cell_moments(dz, n, acc)
+    near = (dz * np.arange(1, n + 1) * m0 - m1) / dz
+    far = m0 - near
+    w = near.copy()
+    w[1:] += far[:-1]
+    spectrum = np.fft.rfft(w, _fft_size(n))
+    spectrum.setflags(write=False)
+    far.setflags(write=False)
+    return spectrum, far
 
 
 def _lattice_apply(g: GridFunction, p: OperatorParams, cell_moments: Callable,
                    scale: float) -> np.ndarray:
     """scale times the integral at every node of g's own lattice, where
-    the cell moments depend only on the lag: one FFT convolution per term,
-    O(n log n) at every n."""
-    dz = g.spacing / p.alpha
-    m0, m1 = cell_moments(dz, g.n, p.acc)
-    _, v, slopes = _oriented(g, p.side)
-    out = np.zeros(g.n + 1)
-    out[1:] = _cell_sum(v, slopes, p.alpha, dz * np.arange(1, g.n + 1),
-                        m0, m1, _fft_convolve)
+    the cell moments depend only on the lag: the anchor's value times the
+    far weights plus one FFT product of the other values with the hat
+    weights, O(n log n) at every n."""
+    n = g.n
+    spectrum, far = _hat_weights(cell_moments, g.spacing / p.alpha, n, p.acc)
+    v = g.values if p.side == Side.LEFT else g.values[::-1]
+    size = _fft_size(n)
+    out = np.zeros(n + 1)
+    out[1:] = (np.fft.irfft(np.fft.rfft(v[1:], size) * spectrum, size)[:n]
+               + v[0] * far)
     out = scale * out
     return out if p.side == Side.LEFT else out[::-1]
 
@@ -260,8 +282,9 @@ def _j_off_lattice(g: GridFunction, p: OperatorParams,
     """First-kind integral at any points."""
     def block_sum(v, slopes, z, z_clipped):
         c0, c1 = e1_cumulatives_array(z_clipped)
-        return _cell_sum(v, slopes, p.alpha, z[:-1], c0[:-1] - c0[1:],
-                         c1[:-1] - c1[1:], np.dot)
+        m0 = c0[:-1] - c0[1:]
+        return (np.dot(v[:-1], m0)
+                + np.dot(p.alpha * slopes, z[:-1] * m0 - (c1[:-1] - c1[1:])))
 
     return _off_lattice(g, p, xs, block_sum)
 

@@ -12,7 +12,8 @@ still iterates but flags that the contraction guarantee is void.
 
 T is applied through exact product integration of the piecewise-linear
 iterate against the kernel moments (same machinery as the second-kind
-operator), which makes each sweep two FFT convolutions, O(n log n).
+operator): after the first sweep the lattice's hat-weight spectrum is
+cached, and each sweep is one forward and one inverse real FFT, O(n log n).
 """
 
 from __future__ import annotations

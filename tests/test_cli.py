@@ -9,9 +9,22 @@ import numpy as np
 import pytest
 
 import fracalc
+from fracalc import cli
 from fracalc.cli import main
-from fracalc.funcspec import Exp, Interval, Sin, sample_spec, write_grid_csv
-from fracalc.operators import OperatorParams, Side, j_closed_constant
+from fracalc.funcspec import (
+    Exp,
+    GridFunction,
+    Interval,
+    Sin,
+    sample_spec,
+    write_grid_csv,
+)
+from fracalc.operators import (
+    OperatorParams,
+    OperatorReport,
+    Side,
+    j_closed_constant,
+)
 
 
 def run_main(args, capsys):
@@ -110,6 +123,31 @@ class TestApply:
         assert len(grid_rows) == 5
         assert all(0.3 < float(r[0]) <= 0.8 for r in grid_rows)
         assert [r[0] for r in grid_rows] == [r[0] for r in exact_rows]
+
+    def test_grid_output_bytes(self, tmp_path, monkeypatch, capsys):
+        # the exact bytes of a grid apply: negative, tiny and subnormal
+        # values, false rows, and one error estimate on every row
+        write_grid_csv(tmp_path / "g.csv",
+                       sample_spec(Sin(1.0), Interval(0.0, 1.0), 6))
+        values = np.array([0.0, -1.5, 1e-300, -2.5e-310, 0.1 + 0.2,
+                           -123456789.123456789, 1e22])
+        flags = np.array([True, False, True, False, False, True, True])
+        monkeypatch.setattr(cli, "apply_j", lambda f, p, n_out: OperatorReport(
+            GridFunction(p.interval, values), flags, 1.0 / 3e13))
+        code, out, _ = run_main(
+            ["apply", "--op", "j", "--side", "left", "--alpha", "0.5",
+             "--spec", f"grid:{tmp_path / 'g.csv'}", "--interval", "0,1",
+             "--n-out", "6"], capsys)
+        assert code == 0
+        assert out == (
+            "x,value,converged,err_estimate\n"
+            "0,0,true,3.33333333333333e-14\n"
+            "0.166666666666667,-1.5,false,3.33333333333333e-14\n"
+            "0.333333333333333,1e-300,true,3.33333333333333e-14\n"
+            "0.5,-2.50000000000002e-310,false,3.33333333333333e-14\n"
+            "0.666666666666667,0.3,false,3.33333333333333e-14\n"
+            "0.833333333333333,-123456789.123457,true,3.33333333333333e-14\n"
+            "1,1e+22,true,3.33333333333333e-14\n")
 
     def test_bad_spec_exits_2(self, capsys):
         code, _, err = run_main(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracalc import operators
 from fracalc.funcspec import (
     Const,
     E1KernelLeft,
@@ -21,6 +22,7 @@ from fracalc.operators import (
     OperatorParams,
     Side,
     _e1_cell_moments,
+    _hat_weights,
     _oriented,
     _s_cell_moments,
     apply_j,
@@ -356,17 +358,36 @@ class TestApplyS:
             apply_s(Grid(g), left(0.5), 64)
 
     def test_moment_cache_is_bounded(self):
-        _s_cell_moments.cache_clear()
-        size = _s_cell_moments.cache_info().maxsize
+        _hat_weights.cache_clear()
+        size = _hat_weights.cache_info().maxsize
         assert size >= 16
         for k in range(size + 3):
-            m0, _ = _s_cell_moments(0.5 + k, 2, DEFAULT_ACCURACY)
-        with pytest.raises(ValueError):
-            m0[0] = 0.0  # callers share the cached arrays
-        info = _s_cell_moments.cache_info()
+            spectrum, far = _hat_weights(_s_cell_moments, 0.5 + k, 2,
+                                         DEFAULT_ACCURACY)
+        for cached in (spectrum, far):
+            with pytest.raises(ValueError):
+                cached[0] = 0.0  # callers share the cached arrays
+        info = _hat_weights.cache_info()
         assert info.currsize == size
-        _s_cell_moments(0.5, 2, DEFAULT_ACCURACY)  # the oldest was evicted
-        assert _s_cell_moments.cache_info().misses == info.misses + 1
+        _hat_weights(_s_cell_moments, 0.5, 2, DEFAULT_ACCURACY)  # evicted
+        assert _hat_weights.cache_info().misses == info.misses + 1
+
+    def test_warm_lattice_evaluates_no_kernel(self, monkeypatch):
+        # a second grid apply on the same lattice, with other values, reads
+        # the cached weights of both kernels
+        rng = np.random.default_rng(3)
+        p = right(0.3)
+        for apply in (apply_j, apply_s):
+            apply(Grid(GridFunction(UNIT, rng.standard_normal(513))), p, 512)
+
+        def evaluated(*args):
+            raise AssertionError("kernel evaluated on a warm lattice")
+
+        monkeypatch.setattr(operators, "e1_cumulatives_array", evaluated)
+        monkeypatch.setattr(operators, "s_cell_moments", evaluated)
+        for apply in (apply_j, apply_s):
+            g = GridFunction(UNIT, rng.standard_normal(513))
+            assert np.all(np.isfinite(apply(Grid(g), p, 256).outputs.values))
 
 
 def _direct_lattice(g, p, cell_moments, scale):

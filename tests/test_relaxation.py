@@ -216,13 +216,15 @@ class TestPicard:
     def test_drifting_divergence_stops(self):
         # kappa = 7.5: the sup change grows fast for about 100 sweeps, then
         # drifts upward in short streaks, none of which grows by 2^52;
-        # measured from the smallest change so far, the run stops at about
-        # sweep 660 instead of running all 3000
+        # measured from the smallest change so far, the run stops instead
+        # of running all 3000.  The sweep where the rounding-noise walk
+        # crosses 2^52 moves with any change to the lattice arithmetic:
+        # 658 with two FFT products per apply, 1094 with one
         prob = RelaxationProblem(alpha=0.5, lam=6.0,
                                  rhs=Autonomous(Const(1.0)), max_iter=3000)
         u, diag = solve_picard(prob, zeros())
         assert diag.contraction_warning and not diag.converged
-        assert diag.iterations < 1000
+        assert diag.iterations < prob.max_iter
         changes = diag.sup_changes
         smallest = list(itertools.accumulate(changes, min))
         assert changes[-1] > 2.0 ** 52 * smallest[-2]
