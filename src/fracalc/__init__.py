@@ -8,7 +8,6 @@ from .special import (
     EULER_GAMMA,
     ZETA2,
     e1,
-    e1_moment,
     ek,
     log_gamma,
     p_regularized,
@@ -64,7 +63,7 @@ from .relaxation import (
 
 __all__ = [
     "Accuracy", "DEFAULT_ACCURACY", "EULER_GAMMA", "ZETA2",
-    "e1", "e1_moment", "ek", "log_gamma", "p_regularized", "volterra_s",
+    "e1", "ek", "log_gamma", "p_regularized", "volterra_s",
     "s_cumulative", "e1_s_convolution",
     "QuadResult", "Singularity", "integrate",
     "integrate_semi_infinite", "laplace",

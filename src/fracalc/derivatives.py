@@ -5,8 +5,10 @@
                      + J(f'), with J(f') by adaptive quadrature;
   * d_frac_numeric — for a grid input, taken as its piecewise-linear
                      carrier, the carrier's closed derivative at the
-                     output nodes of d_frac_ac: a subsample of one FFT
-                     convolution when they lie on the grid's lattice;
+                     output nodes of d_frac_ac: when they lie on the
+                     grid's lattice, a subsample of the lattice engine
+                     that J and S use, with the derivative's cached hat
+                     weights;
   * d_frac_at      — the same derivative at arbitrary points.
 
 The carrier is absolutely continuous, so its derivative is the same
@@ -41,8 +43,9 @@ from .operators import (
     Side,
     _anchor_term,
     _carrier_err,
-    _d_lattice,
     _d_off_lattice,
+    _d_weights,
+    _lattice_apply,
     apply_j,
     apply_j_at,
     apply_s,
@@ -134,7 +137,7 @@ def d_frac_ac(f: AcFunction, p: OperatorParams, n_out: int,
 def d_frac_numeric(g: GridFunction, p: OperatorParams,
                    n_out: int) -> OperatorReport:
     """Derivative of the carrier of g at the nodes d_frac_ac uses: every
-    step-th value of one lattice convolution when those nodes lie on g's
+    step-th value of the lattice engine when those nodes lie on g's
     lattice (g on the operator interval, step = g.n/(n_out + 1) whole),
     else d_frac_at at them."""
     if n_out < 2:
@@ -142,7 +145,7 @@ def d_frac_numeric(g: GridFunction, p: OperatorParams,
     xs = _interior_nodes(p, n_out)
     step, off = divmod(g.n, n_out + 1)
     if g.interval == p.interval and off == 0:
-        vals = _d_lattice(g, p)
+        vals = _lattice_apply(g, p, _d_weights, p.sign / p.alpha)
         vals = vals[step::step] if p.side == Side.LEFT else vals[:-1:step]
     else:
         vals = d_frac_at(g, p, xs)
@@ -176,7 +179,7 @@ def check_inversion_ds(phi: FunctionSpec, p: OperatorParams,
     margin = 0.0205 * p.interval.width
     xs = np.linspace(p.interval.a + margin, p.interval.b - margin, n_check)
     idx = np.rint((xs - p.interval.a) / s_phi.spacing).astype(int)
-    dvals = _d_lattice(s_phi, p)[idx]
+    dvals = _lattice_apply(s_phi, p, _d_weights, p.sign / p.alpha)[idx]
     target = phi.fn(s_phi.nodes()[idx])
     if p.side == Side.RIGHT:
         target = -target
@@ -215,9 +218,8 @@ def katr_residual(f: FunctionSpec, p: OperatorParams,
     if ac.boundary_value != 0.0:
         # the boundary kernel term of the derivative turns into the
         # E1*S convolution under S; sign follows the derivative's
-        sign = 1.0 if p.side == Side.LEFT else -1.0
         conv = e1_s_convolution_array(p.reduced(xs), p.acc)
-        pipeline = pipeline + sign * ac.boundary_value * conv
+        pipeline = pipeline + p.sign * ac.boundary_value * conv
     target = eval_spec_array(f, xs, p.interval, p.alpha)
     if p.side == Side.RIGHT:
         target = -target

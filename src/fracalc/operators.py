@@ -17,12 +17,13 @@ interval's width, so the head spans at most 1e-3 of the interval in t.
 Grid inputs are integrated exactly
 (piecewise-linear carrier against closed kernel moments), which keeps
 the L^p norm inequalities honest at machine precision.  On the input's
-own lattice, or a sub-lattice of it, both kernels run as one Toeplitz
-convolution against the kernel's hat-function weights, a zero-padded
-real-FFT product in O(n log n) whose weight spectrum is cached per
-lattice, so a warm apply evaluates no kernel; J at
-other points is a blocked matrix product of closed E1 cumulative
-differences over [a, x] (left) or [x, b] (right), so the grid must cover
+own lattice, or a sub-lattice of it, J, S and the derivative D = d/dx J
+(the derivatives module) each run as one Toeplitz convolution against
+their own hat-function weights, a zero-padded real-FFT product in
+O(n log n) whose weight spectrum is cached per lattice, so a warm apply
+evaluates no kernel; J and D at other points are a blocked matrix
+product of closed E1 cumulative differences over [a, x] (left) or
+[x, b] (right), so the grid must cover
 the operator interval; S of a grid input exists only on its lattice.
 Output at the collapsed endpoint (x = a for the left side) is 0 by
 continuity; that convention is a choice — the operators are only defined
@@ -32,9 +33,10 @@ almost everywhere.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -77,6 +79,11 @@ class OperatorParams:
     def __post_init__(self) -> None:
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+
+    @property
+    def sign(self) -> float:
+        """+1 on the left side, -1 on the right."""
+        return 1.0 if self.side == Side.LEFT else -1.0
 
     def reduced(self, x) -> np.ndarray:
         """Kernel argument Z: (x-a)/alpha on the left, (b-x)/alpha right."""
@@ -174,6 +181,8 @@ def _s_analytic(f: FunctionSpec, p: OperatorParams,
 # so on the lattice the integral at node i is
 #     v_0 far_(i-1) + sum_(k=1..i) v_k W_(i-k),
 # W_0 = near_0, W_L = near_L + far_(L-1): the hat-function weights.
+# The derivative of the carrier (below) has the same shape with weights
+# of its own, so J, S and D share one engine and one weight cache.
 
 # nodes x points per off-lattice block: the E1 temporaries stay near
 # 128 KiB each, so peak memory does not grow with the number of points
@@ -196,54 +205,86 @@ def _fft_size(n: int) -> int:
     return 1 << (2 * n - 2).bit_length()
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The first a.size terms of the linear convolution of a and b (same
-    length n), as a zero-padded real-FFT product."""
-    size = _fft_size(a.size)
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size),
-                        size)[:a.size]
+# The hat-weight cache holds at most this many operator-lattice pairs, and
+# beyond its newest entry at most this many bytes of spectra and anchor
+# weights: at n = 2^18 one entry is about 6 MiB.
+_HAT_ENTRIES = 32
+_HAT_BYTES = 64 * 2 ** 20
+_hat_cache: OrderedDict = OrderedDict()
+_hat_lock = threading.Lock()
 
 
-def _e1_cell_moments(dz: float, n: int,
-                     acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """E1 moments of the cells [k dz, (k+1) dz], k < n (closed; no acc)."""
-    c0, c1 = e1_cumulatives_array(dz * np.arange(n + 1))
-    return np.diff(c0), np.diff(c1)
-
-
-def _s_cell_moments(dz: float, n: int,
-                    acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """S moments of the cells [k dz, (k+1) dz], k < n: the counterpart of
-    _e1_cell_moments, whose identity keys S in the _hat_weights cache."""
-    return s_cell_moments(dz, n, acc)
-
-
-@lru_cache(maxsize=32)
-def _hat_weights(cell_moments: Callable, dz: float, n: int,
-                 acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum rfft(W, _fft_size(n)) of one kernel's hat-function
-    weights on one lattice, and its anchor weights far, cached read-only:
-    sweeps and the Picard loop apply J and S on the same few lattices many
-    times, and a warm apply then costs one rfft and one irfft."""
-    m0, m1 = cell_moments(dz, n, acc)
-    near = (dz * np.arange(1, n + 1) * m0 - m1) / dz
+def _hat_from_moments(dz: float, m0: np.ndarray,
+                      m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hat weights W and anchor weights far from a kernel's cell moments."""
+    near = (dz * np.arange(1, m0.size + 1) * m0 - m1) / dz
     far = m0 - near
     w = near.copy()
     w[1:] += far[:-1]
+    return w, far
+
+
+def _j_weights(dz: float, n: int,
+               acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """J's weights, from the closed E1 moments of the cells [k dz, (k+1)
+    dz], k < n (no acc)."""
+    c0, c1 = e1_cumulatives_array(dz * np.arange(n + 1))
+    return _hat_from_moments(dz, np.diff(c0), np.diff(c1))
+
+
+def _s_weights(dz: float, n: int,
+               acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """S's weights, from its cell moments (the alpha factor is the
+    apply's scale)."""
+    return _hat_from_moments(dz, *s_cell_moments(dz, n, acc))
+
+
+def _d_weights(dz: float, n: int,
+               acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """The derivative's weights.  Cell j adds slope_j m0_j = (v_(j+1) -
+    v_j) m0_j/(alpha dz), so with the +/-1/alpha factor left to the apply's
+    scale, W_0 = m0_0/dz and W_L = (m0_L - m0_(L-1))/dz by node, and the
+    anchor's value adds E1(z_i) - m0_(i-1)/dz at node i."""
+    z = dz * np.arange(n + 1)
+    m0 = np.diff(e1_cumulative0_array(z))
+    return np.diff(m0, prepend=0.0) / dz, e1_array(z[1:]) - m0 / dz
+
+
+def _hat_weights(weights: Callable, dz: float, n: int,
+                 acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum rfft(W, _fft_size(n)) of one operator's hat weights on
+    one lattice, weights(dz, n, acc) = (W, far), and its anchor weights
+    far, cached read-only and evicted least recently used first: sweeps
+    and the Picard loop apply J, S and D on the same few lattices many
+    times, and a warm apply then costs one rfft and one irfft."""
+    key = (weights, dz, n, acc)
+    with _hat_lock:
+        hit = _hat_cache.get(key)
+        if hit is not None:
+            _hat_cache.move_to_end(key)
+            return hit
+    w, far = weights(dz, n, acc)
     spectrum = np.fft.rfft(w, _fft_size(n))
     spectrum.setflags(write=False)
     far.setflags(write=False)
+    with _hat_lock:
+        _hat_cache[key] = spectrum, far
+        while len(_hat_cache) > 1 and (
+                len(_hat_cache) > _HAT_ENTRIES
+                or sum(s.nbytes + f.nbytes for s, f in _hat_cache.values())
+                > _HAT_BYTES):
+            _hat_cache.popitem(last=False)
     return spectrum, far
 
 
-def _lattice_apply(g: GridFunction, p: OperatorParams, cell_moments: Callable,
+def _lattice_apply(g: GridFunction, p: OperatorParams, weights: Callable,
                    scale: float) -> np.ndarray:
-    """scale times the integral at every node of g's own lattice, where
-    the cell moments depend only on the lag: the anchor's value times the
-    far weights plus one FFT product of the other values with the hat
-    weights, O(n log n) at every n."""
+    """scale times the integral (or derivative) at every node of g's own
+    lattice, where the cell terms depend only on the lag: the anchor's
+    value times the far weights plus one FFT product of the other values
+    with the hat weights, O(n log n) at every n."""
     n = g.n
-    spectrum, far = _hat_weights(cell_moments, g.spacing / p.alpha, n, p.acc)
+    spectrum, far = _hat_weights(weights, g.spacing / p.alpha, n, p.acc)
     v = g.values if p.side == Side.LEFT else g.values[::-1]
     size = _fft_size(n)
     out = np.zeros(n + 1)
@@ -266,12 +307,11 @@ def _off_lattice(g: GridFunction, p: OperatorParams, xs: np.ndarray,
             f"grid input on [{g.interval.a:g}, {g.interval.b:g}] does not "
             f"cover the operator interval [{p.interval.a:g}, {p.interval.b:g}]")
     t, v, slopes = _oriented(g, p.side)
-    sign = 1.0 if p.side == Side.LEFT else -1.0
     cols = max(1, _BLOCK_ENTRIES // t.size)
     vals = np.empty_like(xs)
     for lo in range(0, xs.size, cols):
         x = xs[lo:lo + cols]
-        z = np.maximum(sign * (x - t[:, None]), 0.0) / p.alpha
+        z = np.maximum(p.sign * (x - t[:, None]), 0.0) / p.alpha
         vals[lo:lo + cols] = block_sum(
             v, slopes, z, np.minimum(z, np.maximum(p.reduced(x), 0.0)))
     return vals
@@ -292,26 +332,12 @@ def _j_off_lattice(g: GridFunction, p: OperatorParams,
 # The derivative D = d/dx J of the carrier is closed: with g(anchor) its
 # value at the side's anchor and m0 the E1 moments of the oriented cells,
 #     D g(x) = +/-[g(anchor) E1(r)/alpha + sum_j slope_j m0_j(x)],
-# r the reduced coordinate of x; 0 where r <= 0, as J is.
+# r the reduced coordinate of x; 0 where r <= 0, as J is.  On the lattice
+# it is _lattice_apply with _d_weights and scale +/-1/alpha.
 
 def _anchor_term(value: float, p: OperatorParams, xs) -> np.ndarray:
     """+/- value E1(r)/alpha, the anchor's term of the derivative."""
-    sign = 1.0 if p.side == Side.LEFT else -1.0
-    return _closed(p, xs, lambda x, r, e: sign * value * (e / p.alpha))
-
-
-def _d_lattice(g: GridFunction, p: OperatorParams) -> np.ndarray:
-    """D of the carrier at every node of g's own lattice (g on the
-    operator interval): one FFT convolution of the slopes with the cell
-    moments m0, plus the anchor's term."""
-    dz = g.spacing / p.alpha
-    m0 = np.diff(e1_cumulative0_array(dz * np.arange(g.n + 1)))
-    _, v, slopes = _oriented(g, p.side)
-    out = np.zeros(g.n + 1)
-    out[1:] = _fft_convolve(slopes, m0)
-    if p.side == Side.RIGHT:
-        out = -out[::-1]
-    return out + _anchor_term(v[0], p, g.nodes())
+    return _closed(p, xs, lambda x, r, e: p.sign * value * (e / p.alpha))
 
 
 def _d_off_lattice(g: GridFunction, p: OperatorParams,
@@ -322,10 +348,8 @@ def _d_off_lattice(g: GridFunction, p: OperatorParams,
         return np.dot(slopes, c0[:-1] - c0[1:])
 
     anchor = p.interval.a if p.side == Side.LEFT else p.interval.b
-    sums = _off_lattice(g, p, xs, block_sum)
-    if p.side == Side.RIGHT:
-        sums = -sums
-    return sums + _anchor_term(float(g(anchor)), p, xs)
+    return (p.sign * _off_lattice(g, p, xs, block_sum)
+            + _anchor_term(float(g(anchor)), p, xs))
 
 
 def _s_off_lattice(g: GridFunction, p: OperatorParams,
@@ -356,7 +380,7 @@ def _at(f: FunctionSpec, p: OperatorParams, xs: np.ndarray, analytic: Callable,
 
 
 def _apply(f: FunctionSpec, p: OperatorParams, n_out: int, at: Callable,
-           cell_moments: Callable, scale: float) -> OperatorReport:
+           weights: Callable, scale: float) -> OperatorReport:
     """Body of apply_j/apply_s: the lattice engine when the output grid
     is a sub-lattice of a grid input's, else `at` at the output nodes."""
     if n_out < 2:
@@ -364,7 +388,7 @@ def _apply(f: FunctionSpec, p: OperatorParams, n_out: int, at: Callable,
     g = f.fn if isinstance(f, Grid) else None
     if g is not None and g.interval == p.interval and g.n % n_out == 0:
         # the output grid is a sub-lattice of the input's
-        vals = _lattice_apply(g, p, cell_moments, scale)[::g.n // n_out]
+        vals = _lattice_apply(g, p, weights, scale)[::g.n // n_out]
         return OperatorReport(GridFunction(p.interval, vals),
                               np.ones(n_out + 1, dtype=bool), _carrier_err(g))
     xs = np.linspace(p.interval.a, p.interval.b, n_out + 1)
@@ -382,7 +406,7 @@ def apply_j_at(f: FunctionSpec, p: OperatorParams,
 
 def apply_j(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
     """First-kind fractional integral on a uniform grid of n_out intervals."""
-    return _apply(f, p, n_out, apply_j_at, _e1_cell_moments, 1.0)
+    return _apply(f, p, n_out, apply_j_at, _j_weights, 1.0)
 
 
 def apply_s_at(f: FunctionSpec, p: OperatorParams,
@@ -393,7 +417,7 @@ def apply_s_at(f: FunctionSpec, p: OperatorParams,
 
 def apply_s(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
     """Second-kind fractional integral on a uniform grid of n_out intervals."""
-    return _apply(f, p, n_out, apply_s_at, _s_cell_moments, p.alpha)
+    return _apply(f, p, n_out, apply_s_at, _s_weights, p.alpha)
 
 
 # ---------------------------------------------------------------------------

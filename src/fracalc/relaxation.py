@@ -27,7 +27,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .funcspec import FunctionSpec, Grid, GridFunction, Interval, parse_spec, render_spec, eval_spec_array
+from .funcspec import FunctionSpec, Grid, GridFunction, Interval, parse_spec, eval_spec_array
 from .operators import OperatorParams, Side, apply_s
 from .special import Accuracy, DEFAULT_ACCURACY, s_cumulative
 
@@ -123,11 +123,6 @@ def apply_t(h: GridFunction, alpha: float,
     return out
 
 
-def discrete_oscillation(g: GridFunction) -> float:
-    """max |g_{i+1} - g_i|; the grid-level modulus-of-continuity probe."""
-    return float(np.max(np.abs(np.diff(g.values))))
-
-
 # Growth of the sup change over its smallest value so far that stops a
 # kappa >= 1 run: 2^52, beyond which the iterate keeps no significant digit
 # at the scale of its best sweep.  Runs that do converge grow by far less
@@ -218,22 +213,6 @@ def problem_from_json(path: str | Path) -> RelaxationProblem:
         tol=float(doc.get("tol", 1e-8)),
         max_iter=int(doc.get("max_iter", 200)),
     )
-
-
-def problem_to_json(prob: RelaxationProblem) -> dict:
-    if isinstance(prob.rhs, Autonomous):
-        rhs_doc = {"type": "autonomous", "g": render_spec(prob.rhs.g)}
-    else:
-        rhs_doc = {"type": "affine", "g": render_spec(prob.rhs.g), "c": prob.rhs.c}
-    return {
-        "alpha": prob.alpha,
-        "lambda": prob.lam,
-        "rhs": rhs_doc,
-        "lipschitz_cf": prob.lipschitz_cf,
-        "grid_n": prob.grid_n,
-        "tol": prob.tol,
-        "max_iter": prob.max_iter,
-    }
 
 
 def write_solution_csv(path: str | Path, u: GridFunction) -> None:

@@ -240,19 +240,6 @@ def ek(k: int, x: float) -> float:
     return total
 
 
-def e1_moment(n: int, x: float) -> float:
-    """Antiderivative of t^n E1(t) at x (integration constant zero).
-
-    int t^n E1(t) dt = x^(n+1)/(n+1) E1(x) - n!/(n+1) e_n(x) exp(-x)
-    """
-    if n < 0:
-        raise ValueError(f"e1_moment requires n >= 0, got {n}")
-    if not x > 0.0:
-        raise ValueError(f"e1_moment requires x > 0, got {x}")
-    fac = math.factorial(n) / (n + 1.0)
-    return x ** (n + 1) / (n + 1.0) * e1(x) - fac * ek(n, x) * math.exp(-x)
-
-
 def e1_cumulatives_array(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(int_0^z E1(t) dt, int_0^z t E1(t) dt), elementwise from one E1
     evaluation; z >= 0 with both values 0 at z = 0."""

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fracalc import operators
+from fracalc import operators, special
+from fracalc.derivatives import d_frac_numeric
 from fracalc.funcspec import (
     Const,
     E1KernelLeft,
@@ -21,10 +22,10 @@ from fracalc.funcspec import (
 from fracalc.operators import (
     OperatorParams,
     Side,
-    _e1_cell_moments,
+    _hat_cache,
     _hat_weights,
     _oriented,
-    _s_cell_moments,
+    _s_weights,
     apply_j,
     apply_j_at,
     apply_s,
@@ -35,7 +36,14 @@ from fracalc.operators import (
     j_closed_powshift,
     running_integral,
 )
-from fracalc.special import DEFAULT_ACCURACY, e1, s_cumulative
+from fracalc.special import (
+    DEFAULT_ACCURACY,
+    e1,
+    e1_array,
+    e1_cumulatives_array,
+    s_cell_moments,
+    s_cumulative,
+)
 
 UNIT = Interval(0.0, 1.0)
 WIDE = Interval(0.0, 2.0)
@@ -357,37 +365,62 @@ class TestApplyS:
         with pytest.raises(ValueError):
             apply_s(Grid(g), left(0.5), 64)
 
-    def test_moment_cache_is_bounded(self):
-        _hat_weights.cache_clear()
-        size = _hat_weights.cache_info().maxsize
+    def test_moment_cache_is_bounded(self, monkeypatch):
+        builds = []
+
+        def weights(dz, n, acc):
+            builds.append(dz)
+            return _s_weights(dz, n, acc)
+
+        _hat_cache.clear()
+        size = operators._HAT_ENTRIES
         assert size >= 16
         for k in range(size + 3):
-            spectrum, far = _hat_weights(_s_cell_moments, 0.5 + k, 2,
+            spectrum, far = _hat_weights(weights, 0.5 + k, 2,
                                          DEFAULT_ACCURACY)
         for cached in (spectrum, far):
             with pytest.raises(ValueError):
                 cached[0] = 0.0  # callers share the cached arrays
-        info = _hat_weights.cache_info()
-        assert info.currsize == size
-        _hat_weights(_s_cell_moments, 0.5, 2, DEFAULT_ACCURACY)  # evicted
-        assert _hat_weights.cache_info().misses == info.misses + 1
+        assert len(_hat_cache) == size
+        _hat_weights(weights, 0.5, 2, DEFAULT_ACCURACY)  # evicted
+        assert len(builds) == size + 4
+        # the bytes are bounded too: at most 64 MiB, and at a bound of
+        # three entries' worth the oldest go first
+        assert operators._HAT_BYTES <= 64 * 2 ** 20
+        entry = spectrum.nbytes + far.nbytes
+        monkeypatch.setattr(operators, "_HAT_BYTES", 3 * entry)
+        _hat_weights(weights, 100.5, 2, DEFAULT_ACCURACY)
+        assert sum(s.nbytes + f.nbytes
+                   for s, f in _hat_cache.values()) <= 3 * entry
+        assert [key[1] for key in _hat_cache] == [0.5 + size + 2, 0.5, 100.5]
 
     def test_warm_lattice_evaluates_no_kernel(self, monkeypatch):
-        # a second grid apply on the same lattice, with other values, reads
-        # the cached weights of both kernels
+        # a second grid apply of J, S or D on the same lattice, with other
+        # values, reads the cached weights of its operator
         rng = np.random.default_rng(3)
         p = right(0.3)
         for apply in (apply_j, apply_s):
             apply(Grid(GridFunction(UNIT, rng.standard_normal(513))), p, 512)
+        d_frac_numeric(GridFunction(UNIT, rng.standard_normal(513)), p, 511)
 
         def evaluated(*args):
             raise AssertionError("kernel evaluated on a warm lattice")
 
         monkeypatch.setattr(operators, "e1_cumulatives_array", evaluated)
         monkeypatch.setattr(operators, "s_cell_moments", evaluated)
+        monkeypatch.setattr(operators, "e1_array", evaluated)
+        monkeypatch.setattr(special, "e1_array", evaluated)
         for apply in (apply_j, apply_s):
             g = GridFunction(UNIT, rng.standard_normal(513))
             assert np.all(np.isfinite(apply(Grid(g), p, 256).outputs.values))
+        g = GridFunction(UNIT, rng.standard_normal(513))
+        assert np.all(np.isfinite(d_frac_numeric(g, p, 255).outputs.values))
+
+
+def _e1_cell_moments(dz, n, acc):
+    """E1 moments m0, m1 of the cells [k dz, (k+1) dz], k < n."""
+    c0, c1 = e1_cumulatives_array(dz * np.arange(n + 1))
+    return np.diff(c0), np.diff(c1)
 
 
 def _direct_lattice(g, p, cell_moments, scale):
@@ -407,8 +440,24 @@ def _direct_lattice(g, p, cell_moments, scale):
     return ref, mag
 
 
+def _direct_derivative(g, p):
+    """The carrier's derivative at every node in its slope form, a direct
+    np.convolve of the oriented slopes with the E1 cell moments plus the
+    anchor's E1 term, and the sum of the terms' absolute values."""
+    dz = g.spacing / p.alpha
+    m0, _ = _e1_cell_moments(dz, g.n, p.acc)
+    _, v, slopes = _oriented(g, p.side)
+    anchor = v[0] * e1_array(dz * np.arange(1, g.n + 1)) / p.alpha
+    ref, mag = np.zeros(g.n + 1), np.zeros(g.n + 1)
+    ref[1:] = anchor + np.convolve(slopes, m0)[:g.n]
+    mag[1:] = np.abs(anchor) + np.convolve(np.abs(slopes), m0)[:g.n]
+    if p.side == Side.RIGHT:
+        return -ref[::-1], mag[::-1]
+    return ref, mag
+
+
 class TestLatticeFFT:
-    @pytest.mark.parametrize("kernel", ["j", "s"])
+    @pytest.mark.parametrize("kernel", ["j", "s", "d"])
     @pytest.mark.parametrize("alpha", [0.05, 0.4, 1.0])
     @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT],
                              ids=["left", "right"])
@@ -422,9 +471,15 @@ class TestLatticeFFT:
         if kernel == "j":
             out = apply_j(Grid(g), p, n).outputs.values
             ref, mag = _direct_lattice(g, p, _e1_cell_moments, 1.0)
-        else:
+        elif kernel == "s":
             out = apply_s(Grid(g), p, n).outputs.values
-            ref, mag = _direct_lattice(g, p, _s_cell_moments, alpha)
+            ref, mag = _direct_lattice(g, p, s_cell_moments, alpha)
+        else:
+            # D at every node but the anchor's, where it is 0
+            out = d_frac_numeric(g, p, n - 1).outputs.values
+            ref, mag = _direct_derivative(g, p)
+            ref, mag = (ref[1:], mag[1:]) if side == Side.LEFT else (
+                ref[:-1], mag[:-1])
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(mag)
 
     @pytest.mark.parametrize("values", ["normal", "ones"])

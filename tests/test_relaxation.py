@@ -8,7 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from fracalc.funcspec import Const, Cos, Grid, GridFunction, Sin, sample_spec
+from fracalc.funcspec import (
+    Const,
+    Cos,
+    Grid,
+    GridFunction,
+    Sin,
+    render_spec,
+    sample_spec,
+)
 from fracalc.operators import OperatorParams, Side, apply_j
 from fracalc.relaxation import (
     Affine,
@@ -18,13 +26,33 @@ from fracalc.relaxation import (
     apply_t,
     contraction_constant,
     diagnostics_to_json,
-    discrete_oscillation,
     problem_from_json,
-    problem_to_json,
     solve_picard,
     write_solution_csv,
 )
 from fracalc.special import s_cumulative
+
+
+def discrete_oscillation(g: GridFunction) -> float:
+    """max |g_{i+1} - g_i|; the grid-level modulus-of-continuity probe."""
+    return float(np.max(np.abs(np.diff(g.values))))
+
+
+def problem_to_json(prob: RelaxationProblem) -> dict:
+    """The JSON document problem_from_json reads back as prob."""
+    if isinstance(prob.rhs, Autonomous):
+        rhs_doc = {"type": "autonomous", "g": render_spec(prob.rhs.g)}
+    else:
+        rhs_doc = {"type": "affine", "g": render_spec(prob.rhs.g), "c": prob.rhs.c}
+    return {
+        "alpha": prob.alpha,
+        "lambda": prob.lam,
+        "rhs": rhs_doc,
+        "lipschitz_cf": prob.lipschitz_cf,
+        "grid_n": prob.grid_n,
+        "tol": prob.tol,
+        "max_iter": prob.max_iter,
+    }
 
 # frozen from the independent cumulative-route oracle at X = 2
 ORACLE_HALF_Q2 = 0.5 * 2.4961079000460478
