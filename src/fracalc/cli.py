@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except (RuntimeError, ValueError) as exc:
         # a kernel evaluation exceeded the work budget, or an operator
-        # rejected its input (S of a grid input off its lattice)
+        # rejected its input (a grid that does not cover its interval)
         sys.stderr.write(f"{args.command} failed: {exc}\n")
         return 2
 

@@ -21,10 +21,11 @@ own lattice, or a sub-lattice of it, J, S and the derivative D = d/dx J
 (the derivatives module) each run as one Toeplitz convolution against
 their own hat-function weights, a zero-padded real-FFT product in
 O(n log n) whose weight spectrum is cached per lattice, so a warm apply
-evaluates no kernel; J and D at other points are a blocked matrix
-product of closed E1 cumulative differences over [a, x] (left) or
-[x, b] (right), so the grid must cover
-the operator interval; S of a grid input exists only on its lattice.
+evaluates no kernel.  At other points J, S and D sum the same cell
+terms in blocks of nodes times points, over [a, x] (left) or [x, b]
+(right), so the grid must cover the operator interval: the cell moments
+are closed E1 cumulative differences for J and D, and special.s_moments
+of the clipped cells for S.
 Output at the collapsed endpoint (x = a for the left side) is 0 by
 continuity; that convention is a choice — the operators are only defined
 almost everywhere.
@@ -59,7 +60,7 @@ from .special import (
     e1_cumulative0_array,
     e1_cumulatives_array,
     ek,
-    s_cell_moments,
+    s_moments,
     s_weighted_batch,
 )
 
@@ -236,7 +237,7 @@ def _s_weights(dz: float, n: int,
                acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
     """S's weights, from its cell moments (the alpha factor is the
     apply's scale)."""
-    return _hat_from_moments(dz, *s_cell_moments(dz, n, acc))
+    return _hat_from_moments(dz, *s_moments(dz * np.arange(n), dz, 1, acc))
 
 
 def _d_weights(dz: float, n: int,
@@ -299,9 +300,9 @@ def _off_lattice(g: GridFunction, p: OperatorParams, xs: np.ndarray,
     """All nodes against one block of points at a time: z = max(+/-(x -
     t), 0)/alpha, and the same clipped to the reduced coordinate of x, so
     only [a, x] (left) or [x, b] (right) counts and the anchor cell is
-    partial.  block_sum(v, slopes, z, z_clipped) returns the block's
-    values; its cell moments are differences of closed E1 cumulatives of
-    z_clipped along the node axis."""
+    partial, as is the cell at z = 0 that holds x.  block_sum(v, slopes,
+    z, z_clipped) returns the block's values; its cell moments are taken
+    over the cells [z_clipped[j+1], z_clipped[j]] along the node axis."""
     if not (g.interval.a <= p.interval.a and p.interval.b <= g.interval.b):
         raise ValueError(
             f"grid input on [{g.interval.a:g}, {g.interval.b:g}] does not "
@@ -317,16 +318,16 @@ def _off_lattice(g: GridFunction, p: OperatorParams, xs: np.ndarray,
     return vals
 
 
-def _j_off_lattice(g: GridFunction, p: OperatorParams,
-                   xs: np.ndarray) -> np.ndarray:
-    """First-kind integral at any points."""
-    def block_sum(v, slopes, z, z_clipped):
-        c0, c1 = e1_cumulatives_array(z_clipped)
-        m0 = c0[:-1] - c0[1:]
-        return (np.dot(v[:-1], m0)
-                + np.dot(p.alpha * slopes, z[:-1] * m0 - (c1[:-1] - c1[1:])))
+def _e1_cells(z: np.ndarray, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """E1 moments m0, m1 of the cells between consecutive rows of z, as
+    differences of closed cumulatives (no acc)."""
+    c0, c1 = e1_cumulatives_array(z)
+    return c0[:-1] - c0[1:], c1[:-1] - c1[1:]
 
-    return _off_lattice(g, p, xs, block_sum)
+
+def _s_cells(z: np.ndarray, acc: Accuracy) -> np.ndarray:
+    """S moments m0, m1 of the cells between consecutive rows of z."""
+    return s_moments(z[1:], z[:-1] - z[1:], 1, acc)
 
 
 # The derivative D = d/dx J of the carrier is closed: with g(anchor) its
@@ -352,13 +353,6 @@ def _d_off_lattice(g: GridFunction, p: OperatorParams,
             + _anchor_term(float(g(anchor)), p, xs))
 
 
-def _s_off_lattice(g: GridFunction, p: OperatorParams,
-                   xs: np.ndarray) -> np.ndarray:
-    raise ValueError(
-        "apply_s on a grid input needs the output lattice to divide the "
-        f"input lattice (grid n={g.n}, {xs.size} output points)")
-
-
 # ---------------------------------------------------------------------------
 # the public operators
 # ---------------------------------------------------------------------------
@@ -369,14 +363,23 @@ def _carrier_err(g: GridFunction) -> float:
 
 
 def _at(f: FunctionSpec, p: OperatorParams, xs: np.ndarray, analytic: Callable,
-        off_lattice: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Body of apply_j_at/apply_s_at: the kernel's off-lattice evaluator
-    for a grid input, else one adaptive batch over the points."""
+        cells: Callable, scale: float
+        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Body of apply_j_at/apply_s_at.  For a grid input, scale times the
+    carrier's cell terms v_j m0_j + alpha slope_j (z_far m0_j - m1_j) at
+    any points, with the kernel's moments cells(z_clipped, acc) = (m0,
+    m1); else one adaptive batch over the points."""
     xs = np.asarray(xs, dtype=float)
-    if isinstance(f, Grid):
-        return (off_lattice(f.fn, p, xs), np.ones_like(xs, dtype=bool),
-                np.full_like(xs, _carrier_err(f.fn)))
-    return analytic(f, p, xs)
+    if not isinstance(f, Grid):
+        return analytic(f, p, xs)
+
+    def block_sum(v, slopes, z, z_clipped):
+        m0, m1 = cells(z_clipped, p.acc)
+        return (np.dot(v[:-1], m0)
+                + np.dot(p.alpha * slopes, z[:-1] * m0 - m1))
+
+    return (scale * _off_lattice(f.fn, p, xs, block_sum),
+            np.ones_like(xs, dtype=bool), np.full_like(xs, _carrier_err(f.fn)))
 
 
 def _apply(f: FunctionSpec, p: OperatorParams, n_out: int, at: Callable,
@@ -401,7 +404,7 @@ def apply_j_at(f: FunctionSpec, p: OperatorParams,
                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First-kind integral at arbitrary points; returns (values,
     converged flags, error estimates)."""
-    return _at(f, p, xs, _j_analytic, _j_off_lattice)
+    return _at(f, p, xs, _j_analytic, _e1_cells, 1.0)
 
 
 def apply_j(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
@@ -411,8 +414,9 @@ def apply_j(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
 
 def apply_s_at(f: FunctionSpec, p: OperatorParams,
                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Second-kind integral at arbitrary points of an analytic input."""
-    return _at(f, p, xs, _s_analytic, _s_off_lattice)
+    """Second-kind integral at arbitrary points; returns (values,
+    converged flags, error estimates)."""
+    return _at(f, p, xs, _s_analytic, _s_cells, p.alpha)
 
 
 def apply_s(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:

@@ -3,9 +3,8 @@
 Covers the exponential integral E1 (first-kind kernel), the singular
 second-kind kernel S(x) = exp(-x) * int_0^inf x^(s-1)/Gamma(s) ds, the
 exponential partial sums e_k, log-gamma, the regularized lower incomplete
-gamma P(s, x), the cumulative kernel mass Q(X) = int_0^X S(t) dt, the
-moments int_0^delta t^k S(t) dt, k = 1, 2, and the S cell moments of a
-lattice.
+gamma P(s, x), and any cell's moments int t^k S(t) dt, k <= 2, among
+them the cumulative kernel mass Q(X) = int_0^X S(t) dt.
 
 Every S quantity comes from one representation.  With u = e^v in
 S(x) = 1 + exp(-x) int_0^inf exp(-xu)/(ln^2 u + pi^2) du,
@@ -14,16 +13,17 @@ S(x) = 1 + exp(-x) int_0^inf exp(-xu)/(ln^2 u + pi^2) du,
 
 a smooth two-sided integral that decays like e^v on the left and
 double-exponentially on the right.  Integrating in t under the v-integral
-gives Q, the two moments and each lattice cell's moments as integrals of
-the same kind, each with its own smooth integrand in v.  All of them are
-one plain trapezoid sum in v with step 0.2, which converges exponentially
-on such integrands (the discretization error is below 1e-20).
+gives any cell's moments, Q among them, as integrals of the same kind with
+smooth integrands in v (s_moments).  All of them are one plain trapezoid
+sum in v with step 0.2, which converges exponentially on such integrands
+(the discretization error is below 1e-20).
 
 Q is never computed by integrating S directly: S blows up like
 1/(x ln^2 x) at 0+ and the mass below the smallest positive double is
 about 1.4e-3, far above any useful tolerance.  The v-integrals carry that
 mass exactly, and every integral against S runs through s_weighted_batch,
-which takes its head near 0 from Q and the first two moments.
+which takes its head near 0 from Q and the first two moments, or through
+the moments of a grid input's cells.
 """
 
 from __future__ import annotations
@@ -421,10 +421,17 @@ _V_LO = -40.0
 # exp(-x)/(x ln^2 x); beyond this cutoff the difference is under 1e-20.
 _S_SATURATION = 40.0
 
-_CHUNK = 512  # lattice cells sharing one node set in s_cell_moments
-# points x v-nodes per volterra_s_array chunk: its two temporaries stay
-# near 512 KiB each, so peak memory does not grow with the batch
+# cells (or points) x v-nodes per chunk of s_moments and volterra_s_array.
+# The exponentials of every chunk of a call fill one 512 KiB buffer, so
+# peak memory does not grow with the call; a fresh temporary per chunk,
+# which glibc may return to the OS and fault in again for the next, made
+# verify's volterra_s_array 2.5 times slower (2 vCPU).
 _S_ENTRIES = 2 ** 16
+
+
+def _v_count(v_hi: float) -> int:
+    """The number of trapezoid nodes on [_V_LO, v_hi]."""
+    return int((max(v_hi, _V_LO) - _V_LO) / _V_STEP) + 2
 
 
 def _v_nodes(v_hi: float, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
@@ -432,7 +439,7 @@ def _v_nodes(v_hi: float, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
 
     Raises RuntimeError when the rule needs more nodes than acc.max_work.
     """
-    count = int((max(v_hi, _V_LO) - _V_LO) / _V_STEP) + 2
+    count = _v_count(v_hi)
     if count > acc.max_work:
         raise RuntimeError(
             f"trapezoid rule on [{_V_LO}, {v_hi:.6g}] needs {count} nodes, "
@@ -442,6 +449,20 @@ def _v_nodes(v_hi: float, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
     # by ~1e-14 relative, which biases every weight by as much
     v = _V_LO + _V_STEP * np.arange(count)
     return v, _V_STEP / (v * v + math.pi ** 2)
+
+
+def _v_chunks(key: np.ndarray, todo: np.ndarray, v_hi: Callable[[float], float],
+              acc: Accuracy):
+    """The indices todo, sorted by key, in chunks that share the trapezoid
+    nodes up to v_hi(k) of their smallest key k: at most _S_ENTRIES
+    entries times nodes each, one entry at least.  Yields (idx, v, w)."""
+    order = todo[np.argsort(key[todo])]
+    start = 0
+    while start < order.size:
+        v, w = _v_nodes(v_hi(float(key[order[start]])), acc)
+        idx = order[start:start + max(1, _S_ENTRIES // v.size)]
+        start += idx.size
+        yield idx, v, w
 
 
 def _sigma(v: np.ndarray) -> np.ndarray:
@@ -467,14 +488,14 @@ def volterra_s(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
 
     Valid for x > 0 and evaluated by volterra_s_array.  Evaluation is only
     permitted down to x = 1e-12; integrals against S must route the
-    near-zero mass through s_cumulative.
+    near-zero mass through s_moments.
     """
     if not x > 0.0:
         raise ValueError(f"volterra_s requires x > 0, got {x}")
     if x < 1e-12:
         raise ValueError(
             f"volterra_s is restricted to x >= 1e-12 (got {x}); "
-            "route near-zero integrals through s_cumulative"
+            "route near-zero integrals through s_moments"
         )
     return float(volterra_s_array(np.array([x]), acc)[0])
 
@@ -485,137 +506,107 @@ def volterra_s_array(x: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndar
         S(x) = 1 + exp(-x) h sum_v exp(-x e^v) e^v/(v^2 + pi^2)
 
     over v in [-40, ln(50/x_min)] (the right tail is under exp(-50)), in
-    sorted chunks that share the nodes of their smallest point, each of at
-    most _S_ENTRIES points times nodes.  S is 1 from x = 40 on.
+    the chunks of _v_chunks.  S is 1 from x = 40 on.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 1e-12):
         raise ValueError("volterra_s_array requires x >= 1e-12 throughout")
     flat = x.ravel()
     out = np.ones_like(flat)
-    todo = np.nonzero(flat < _S_SATURATION)[0]
-    order = todo[np.argsort(flat[todo])]
-    start = 0
-    while start < order.size:
-        v, w = _v_nodes(math.log(50.0 / flat[order[start]]), acc)
-        idx = order[start:start + max(1, _S_ENTRIES // v.size)]
-        start += idx.size
-        xs = flat[idx]
-        ev = np.exp(v)
-        out[idx] = 1.0 + np.exp(-xs) * (np.exp(-np.outer(xs, ev)) @ (w * ev))
+    buf = np.empty(_S_ENTRIES)
+    for idx, v, w in _v_chunks(flat, np.nonzero(flat < _S_SATURATION)[0],
+                               lambda x0: math.log(50.0 / x0), acc):
+        xs, ev = flat[idx], np.exp(v)
+        e = np.outer(xs, -ev, out=buf[:xs.size * v.size].reshape(xs.size, -1))
+        out[idx] = 1.0 + np.exp(-xs) * (np.exp(e, out=e) @ (w * ev))
     return out.reshape(x.shape)
 
 
-def s_cumulative(X: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Q(X) = int_0^X S(t) dt.
+def _cell_terms(b: np.ndarray, v: np.ndarray, w: np.ndarray, k: int,
+                first: np.ndarray) -> list[np.ndarray]:
+    """w e^v/a^(j+1) times first for j = 0 and gamma(j + 1, b) for j =
+    1..k, a = 1 + e^v: e^v/a, e^v/a^2 and e^v/a^3 are sigma, sigma' and
+    sigma'/a."""
+    terms = [w * _sigma(v) * first]
+    if k >= 1:
+        terms.append(w * _sigma_prime(v) * _lower_gamma2(b))
+    if k == 2:
+        terms.append(w * _sigma_prime_over_a(v) * _lower_gamma3(b))
+    return terms
 
-    Integrating S in t under the v-integral, and using
-    int sigma(v)/(v^2 + pi^2) dv = 1/2 with sigma(v) = e^v/(1 + e^v),
 
-        Q(X) = X + 1/2 - int sigma(v) exp(-X (1 + e^v))/(v^2 + pi^2) dv,
+def s_moments(lo, width, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray:
+    """The moments int_lo^(lo + width) t^j S(t) dt, j = 0..k (k <= 2), of
+    cells lo >= 0, width >= 0 (arrays, broadcast), as the k + 1 rows of an
+    array of their shape.
 
-    a bounded integrand that needs v only up to ln(40/X) (the tail is under
-    exp(-40)).  Accurate even though S itself blows up at 0+.
+    Under the v-integral S = 1 + int w e^(-t a) dv, a = 1 + e^v, and with
+    t = lo + s, row j is the polynomial part int t^j dt plus
+    sum_(i<=j) C(j, i) lo^(j-i) G_i, where, d the width,
+
+        G_i = int w e^(-lo a) gamma(i + 1, d a)/a^(i+1) dv,
+
+    free of cancellation.  Cells from lo = 40 on have S = 1 and are exact.
+    Other cells with lo > 0 run by width in the chunks of _v_chunks, with
+    v up to ln(50/lo_min) (the tail is under exp(-50)): the gamma columns
+    of one width depend on v only and are built once, so a lattice costs
+    one exp per cell and node, and the off-lattice blocks of a grid, whose
+    widths round to a few dozen values, little more.  A head cell (lo = 0)
+    holds the singularity: its G_0 is 1/2 - int sigma e^(-d a)/(v^2 +
+    pi^2) dv (the complement of Q), and past v = ln(1/d) its G_1, G_2
+    integrands decay only like e^(-v), so it takes v up to 40 - ln d,
+    leaving a tail under 1e-17 relative.
     """
-    if X < 0.0:
-        raise ValueError(f"s_cumulative requires X >= 0, got {X}")
-    if X == 0.0:
-        return 0.0
-    ln_x = math.log(X)
-    v, w = _v_nodes(math.log(40.0) - ln_x, acc)
-    # X e^v as exp(v + ln X): e^v alone overflows for X below ~1e-306
-    return float(X + 0.5 - np.sum(w * _sigma(v) * np.exp(-X - np.exp(v + ln_x))))
+    if k not in (0, 1, 2):
+        raise ValueError(f"s_moments requires k in 0..2, got {k}")
+    lo, d = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                np.asarray(width, dtype=float))
+    shape = lo.shape
+    lo, d = lo.ravel(), d.ravel()
+    if np.any(lo < 0.0) or np.any(d < 0.0):
+        raise ValueError("s_moments requires lo >= 0 and width >= 0")
+    g = np.zeros((k + 1, lo.size))
+    head = (lo == 0.0) & (d > 0.0)
+    for i in np.nonzero(head)[0]:
+        ln_d = math.log(d[i])
+        v, w = _v_nodes(40.0 - ln_d, acc)
+        b = d[i] + np.exp(v + ln_d)  # e^v alone overflows for d < ~1e-306
+        terms = _cell_terms(b, v, w, k, np.exp(-b))
+        # G_0 - 1/2, whose integrand is under exp(-40) past v = ln(40/d)
+        terms[0] = -terms[0][:_v_count(math.log(40.0) - ln_d)]
+        g[:, i] = [np.sum(t) for t in terms]
+    body = np.nonzero((lo > 0.0) & (lo < _S_SATURATION) & (d > 0.0))[0]
+    body = body[np.argsort(d[body])]
+    buf = np.empty(_S_ENTRIES)
+    for cells in np.split(body, np.flatnonzero(np.diff(d[body])) + 1):
+        cols = None  # on the first chunk's nodes, the most; then a prefix
+        for idx, v, w in _v_chunks(lo, cells, lambda l0: math.log(50.0 / l0),
+                                   acc):
+            a = 1.0 + np.exp(v)
+            if cols is None:
+                b = d[idx[0]] * a
+                cols = np.stack(_cell_terms(b, v, w, k, -np.expm1(-b)), axis=1)
+            e = np.outer(lo[idx], -a, out=buf[:idx.size * a.size].reshape(
+                idx.size, -1))
+            g[:, idx] = (np.exp(e, out=e) @ cols[:v.size]).T
+    out = np.empty((k + 1, lo.size))
+    out[0] = (d + 0.5 * head) + g[0]  # a head's 1/2 first, as in Q
+    if k >= 1:
+        out[1] = d * (lo + 0.5 * d) + (lo * g[0] + g[1])
+    if k == 2:
+        out[2] = (d * (lo * (lo + d) + d * d / 3.0)
+                  + (lo * (lo * g[0] + 2.0 * g[1]) + g[2]))
+    return out.reshape((k + 1,) + shape)
+
+
+def s_cumulative(X: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+    """Q(X) = int_0^X S(t) dt, X >= 0: row 0 of the head [0, X]."""
+    return float(s_moments(0.0, X, 0, acc)[0])
 
 
 def s_first_moment(delta: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """int_0^delta t S(t) dt, as
-
-        delta^2/2 + int gamma(2, a) e^v/((1 + e^v)^2 (v^2 + pi^2)) dv,
-
-    with a = delta (1 + e^v) and gamma(2, a) = 1 - e^(-a) (1 + a).  Past
-    v = ln(1/delta) the integrand decays only like e^(-v), so the range
-    runs 40 further, leaving a tail under 1e-17 relative.
-    """
-    if delta < 0.0:
-        raise ValueError(f"s_first_moment requires delta >= 0, got {delta}")
-    if delta == 0.0:
-        return 0.0
-    ln_d = math.log(delta)
-    v, w = _v_nodes(40.0 - ln_d, acc)
-    a = delta + np.exp(v + ln_d)
-    return float(0.5 * delta * delta + np.sum(w * _sigma_prime(v) * _lower_gamma2(a)))
-
-
-def s_second_moment(delta: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """int_0^delta t^2 S(t) dt, as
-
-        delta^3/3 + int gamma(3, a) e^v/((1 + e^v)^3 (v^2 + pi^2)) dv,
-
-    with a = delta (1 + e^v), on the trapezoid nodes of s_first_moment
-    (past v = ln(1/delta) this integrand decays like e^(-2v))."""
-    if delta < 0.0:
-        raise ValueError(f"s_second_moment requires delta >= 0, got {delta}")
-    if delta == 0.0:
-        return 0.0
-    ln_d = math.log(delta)
-    v, w = _v_nodes(40.0 - ln_d, acc)
-    a = delta + np.exp(v + ln_d)
-    return float(delta ** 3 / 3.0
-                 + np.sum(w * _sigma_prime_over_a(v) * _lower_gamma3(a)))
-
-
-def s_cell_moments(dz: float, n: int, acc: Accuracy = DEFAULT_ACCURACY
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Cell moments m0[k] = int S(t) dt and m1[k] = int t S(t) dt over the
-    cells [z_k, z_k + dz], z_k = k dz, k = 0..n-1.
-
-    Cell 0 holds the singularity and takes Q(dz) and the first moment.
-    Each cell k >= 1 below saturation is one integrand in v, the exact
-    t-integral over the cell of exp(-t a), a = 1 + e^v, against the weight
-    w = e^v/(v^2 + pi^2):
-
-        m0[k] = dz + int w e^(-z_k a) (1 - e^(-dz a))/a dv
-        m1[k] = dz (z_k + dz/2) + z_k (m0[k] - dz)
-                + int w e^(-z_k a) gamma(2, dz a)/a^2 dv
-
-    (the second is the difference of (z/a + 1/a^2) e^(-z a) between the
-    cell ends, written without its cancellation).  Cells from z_k = 40 on
-    have S = 1 and are exact.
-    """
-    if not dz > 0.0:
-        raise ValueError(f"s_cell_moments requires dz > 0, got {dz}")
-    if n < 1:
-        raise ValueError(f"s_cell_moments requires n >= 1, got {n}")
-    z = dz * np.arange(n)
-    m0 = np.full(n, dz)
-    m1 = dz * (z + 0.5 * dz)
-    m0[0] = s_cumulative(dz, acc)
-    m1[0] = s_first_moment(dz, acc)
-    k_sat = int(np.searchsorted(z, _S_SATURATION))
-    if k_sat > 1:
-        v, w = _v_nodes(math.log(50.0 / dz), acc)
-        a = 1.0 + np.exp(v)
-        b = dz * a
-        cols = np.stack([w * _sigma(v) * -np.expm1(-b),
-                         w * _sigma_prime(v) * _lower_gamma2(b)], axis=1)
-        for lo in range(1, k_sat, _CHUNK):
-            hi = min(lo + _CHUNK, k_sat)
-            zk = z[lo:hi]
-            part = np.exp(-np.outer(zk, a)) @ cols
-            m0[lo:hi] += part[:, 0]
-            m1[lo:hi] += zk * part[:, 0] + part[:, 1]
-    return m0, m1
-
-
-def s_head_moments(delta: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY
-                   ) -> np.ndarray:
-    """Q(delta) and the moments int_0^delta t^k S(t) dt, k = 1, 2, as the
-    three rows of an array, over a 1-D array of delta, once per distinct
-    delta."""
-    heads = {d: (s_cumulative(d, acc), s_first_moment(d, acc),
-                 s_second_moment(d, acc))
-             for d in set(delta.tolist())}
-    return np.array([heads[d] for d in delta.tolist()]).reshape(-1, 3).T
+    """int_0^delta t S(t) dt, delta >= 0: row 1 of the head [0, delta]."""
+    return float(s_moments(0.0, delta, 1, acc)[1])
 
 
 def s_weighted_batch(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -639,7 +630,8 @@ def s_weighted_batch(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     m = delta.size
     g0, gm, gd = phi(np.concatenate([0.0 * delta, 0.5 * delta, delta]),
                      np.tile(np.arange(m), 3)).reshape(3, m)
-    q_head, m1_head, m2_head = s_head_moments(delta, acc)
+    heads, inverse = np.unique(delta, return_inverse=True)
+    q_head, m1_head, m2_head = s_moments(0.0, heads, 2, acc)[:, inverse]
     curv = 2.0 * (g0 - 2.0 * gm + gd) / (delta * delta)
     slope = (gd - g0) / delta - curv * delta
     value = g0 * q_head + slope * m1_head + curv * m2_head

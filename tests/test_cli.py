@@ -237,7 +237,28 @@ class TestSweep:
             ["apply", "--op", "s", "--side", "left", "--alpha", "0.5",
              "--spec", spec, "--interval", "0,2", "--n-out", "64"], capsys)
         assert code == 2
-        assert err.startswith("apply failed: apply_s on a grid input")
+        assert err.startswith("apply failed: grid input on [0, 1] does not "
+                              "cover the operator interval [0, 2]")
+
+    def test_grid_s_off_its_lattice(self, tmp_path, monkeypatch, capsys):
+        # n_out = 64 on an n = 100 grid: off-lattice S prints a value at
+        # every node, and a starved work budget still exits 2
+        write_grid_csv(tmp_path / "g.csv",
+                       sample_spec(Sin(3.0), Interval(0.0, 1.0), 100))
+        args = ["apply", "--op", "s", "--side", "left", "--alpha", "0.5",
+                "--spec", f"grid:{tmp_path / 'g.csv'}", "--interval", "0,1",
+                "--n-out", "64"]
+        code, out, _ = run_main(args, capsys)
+        assert code == 0
+        rows = [r.split(",") for r in out.splitlines()[1:]]
+        assert len(rows) == 65
+        assert all(np.isfinite(float(r[1])) and r[2] == "true" for r in rows)
+        monkeypatch.setenv("FRACALC_MAX_WORK", "8")
+        code, out, err = run_main(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("apply failed: trapezoid rule on")
+        assert "more than the work budget of 8" in err
 
     def test_missing_grid_file_exits_2(self, capsys):
         code, _, err = run_main(

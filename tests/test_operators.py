@@ -24,6 +24,7 @@ from fracalc.operators import (
     Side,
     _hat_cache,
     _hat_weights,
+    _lattice_apply,
     _oriented,
     _s_weights,
     apply_j,
@@ -41,8 +42,9 @@ from fracalc.special import (
     e1,
     e1_array,
     e1_cumulatives_array,
-    s_cell_moments,
     s_cumulative,
+    s_moments,
+    volterra_s_array,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -360,10 +362,82 @@ class TestApplyS:
         xs = js.outputs.nodes()
         assert np.max(np.abs(js.outputs.values - (1.0 - np.cos(xs)))) < 1e-5
 
-    def test_unaligned_grid_rejected(self):
-        g = sample_spec(Sin(1.0), UNIT, 100)
-        with pytest.raises(ValueError):
-            apply_s(Grid(g), left(0.5), 64)
+    @pytest.mark.parametrize("alpha", [0.05, 5.0])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT],
+                             ids=["left", "right"])
+    def test_unaligned_grid_against_scipy(self, side, alpha):
+        # n_out = 64 on an n = 100 grid: every cell of the carrier between
+        # the anchor and x, each a vector entry of one quad_vec in u, with
+        # z = lo + u (hi - lo); the head [0, d] takes f(0) Q(d) + slope
+        # M1(d), with Q and M1 from scipy's gammainc as in TestCumulative
+        integrate = pytest.importorskip("scipy.integrate")
+        gammainc = pytest.importorskip("scipy.special").gammainc
+        g = GridFunction(UNIT, np.random.default_rng(7).standard_normal(101))
+        t, v = g.nodes(), g.values
+        p = OperatorParams(side, alpha, UNIT)
+        rep = apply_s(Grid(g), p, 64)
+        xs = rep.outputs.nodes()
+        lo, hi, owner = [], [], []
+        for i, x in enumerate(xs):
+            Z = float(p.reduced(x))
+            zn = p.sign * (x - t) / alpha
+            edges = np.concatenate([[0.0], np.sort(zn[(zn > 0) & (zn < Z)]),
+                                    [Z]]) if Z > 0.0 else np.zeros(1)
+            lo += list(edges[:-1])
+            hi += list(edges[1:])
+            owner += [i] * (edges.size - 1)
+        lo, hi, owner = map(np.array, (lo, hi, owner))
+
+        def f(z):
+            return np.interp(xs[owner] - p.sign * alpha * z, t, v)
+
+        head = lo == 0.0
+        start = np.where(head, hi, lo)  # the body skips the heads
+        body, _ = integrate.quad_vec(
+            lambda u: volterra_s_array(start + u * (hi - start))
+            * f(start + u * (hi - start)) * (hi - start),
+            0.0, 1.0, epsabs=1e-14, epsrel=1e-12, norm="max")
+        d = hi[head]
+        top = d.max() + 12.0 * math.sqrt(d.max() + 4.0) + 30.0
+        q, _ = integrate.quad_vec(
+            lambda s: gammainc(s, d) if s > 0.0 else np.zeros_like(d), 0.0,
+            top, epsabs=1e-16, epsrel=1e-14, limit=4000)
+        m1, _ = integrate.quad_vec(lambda s: s * gammainc(s + 1.0, d), 0.0,
+                                   top, epsabs=1e-16, epsrel=1e-14, limit=4000)
+        f0, fd = f(np.zeros(lo.size))[head], f(hi)[head]
+        body[head] += f0 * q + (fd - f0) / d * m1
+        ref = np.zeros(xs.size)
+        np.add.at(ref, owner, alpha * body)
+        assert np.max(np.abs(rep.outputs.values - ref)) <= (
+            1e-12 * np.max(np.abs(v)))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 5.0])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT],
+                             ids=["left", "right"])
+    def test_off_lattice_matches_lattice(self, side, alpha):
+        # the off-lattice blocks at the grid's own nodes against the FFT
+        # product of its hat weights (observed <= 5.3e-15 relative)
+        g = GridFunction(UNIT, np.random.default_rng(11).standard_normal(257))
+        p = OperatorParams(side, alpha, UNIT)
+        lattice = _lattice_apply(g, p, _s_weights, alpha)
+        vals, conv, _ = apply_s_at(Grid(g), p, g.nodes())
+        assert np.all(conv)
+        assert np.max(np.abs(vals - lattice)) <= (
+            1e-12 * np.max(np.abs(lattice)))
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 1e4])
+    def test_one_ulp_right_of_node(self, alpha):
+        # a cell 1e-16 wide beside the node: a head on one side, a sliver
+        # with lo ~ 1e-16/alpha on the other; both fit the default budget,
+        # and S f is continuous there
+        g = sample_spec(Sin(3.0), UNIT, 100)
+        node = g.nodes()[37]
+        xs = np.array([node, np.nextafter(node, 2.0)])
+        for side in (Side.LEFT, Side.RIGHT):
+            vals, _, _ = apply_s_at(Grid(g), OperatorParams(side, alpha, UNIT),
+                                    xs)
+            assert np.all(np.isfinite(vals))
+            assert abs(vals[1] - vals[0]) <= 1e-12 * max(1.0, abs(vals[0]))
 
     def test_moment_cache_is_bounded(self, monkeypatch):
         builds = []
@@ -407,7 +481,7 @@ class TestApplyS:
             raise AssertionError("kernel evaluated on a warm lattice")
 
         monkeypatch.setattr(operators, "e1_cumulatives_array", evaluated)
-        monkeypatch.setattr(operators, "s_cell_moments", evaluated)
+        monkeypatch.setattr(operators, "s_moments", evaluated)
         monkeypatch.setattr(operators, "e1_array", evaluated)
         monkeypatch.setattr(special, "e1_array", evaluated)
         for apply in (apply_j, apply_s):
@@ -421,6 +495,11 @@ def _e1_cell_moments(dz, n, acc):
     """E1 moments m0, m1 of the cells [k dz, (k+1) dz], k < n."""
     c0, c1 = e1_cumulatives_array(dz * np.arange(n + 1))
     return np.diff(c0), np.diff(c1)
+
+
+def _s_cell_moments(dz, n, acc):
+    """S moments m0, m1 of the cells [k dz, (k+1) dz], k < n."""
+    return s_moments(dz * np.arange(n), dz, 1, acc)
 
 
 def _direct_lattice(g, p, cell_moments, scale):
@@ -473,7 +552,7 @@ class TestLatticeFFT:
             ref, mag = _direct_lattice(g, p, _e1_cell_moments, 1.0)
         elif kernel == "s":
             out = apply_s(Grid(g), p, n).outputs.values
-            ref, mag = _direct_lattice(g, p, s_cell_moments, alpha)
+            ref, mag = _direct_lattice(g, p, _s_cell_moments, alpha)
         else:
             # D at every node but the anchor's, where it is 0
             out = d_frac_numeric(g, p, n - 1).outputs.values

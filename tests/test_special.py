@@ -20,11 +20,9 @@ from fracalc.special import (
     log_gamma_array,
     p_regularized,
     p_regularized_array,
-    s_cell_moments,
     s_cumulative,
     s_first_moment,
-    s_head_moments,
-    s_second_moment,
+    s_moments,
     s_weighted_batch,
     volterra_s,
     volterra_s_array,
@@ -296,7 +294,9 @@ class TestCumulative:
         d = 1e-3
         ref, _ = integrate.quad(lambda s: s * gammainc(s + 1.0, d), 0.0,
                                 np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
-        assert s_first_moment(d) == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert s_moments(0.0, d, 1)[1] == pytest.approx(ref, rel=1e-13,
+                                                        abs=0.0)
+        assert s_first_moment(d) == s_moments(0.0, d, 1)[1]
 
     def test_second_moment_against_scipy(self):
         # int_0^d t^2 S(t) dt = int_0^inf s (s+1) P(s+2, d) ds
@@ -306,15 +306,24 @@ class TestCumulative:
             ref, _ = integrate.quad(
                 lambda s: s * (s + 1.0) * gammainc(s + 2.0, d), 0.0, np.inf,
                 epsabs=0.0, epsrel=1e-13, limit=200)
-            assert s_second_moment(d) == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert s_moments(0.0, d, 2)[2] == pytest.approx(ref, rel=1e-12,
+                                                            abs=0.0)
 
     def test_head_moments_rows(self):
+        # a head's rows do not depend on k, on the other cells of the call,
+        # or on repeats; the wrappers read rows 0 and 1
         delta = np.array([1e-3, 0.25, 1e-3])
-        q, m1, m2 = s_head_moments(delta)
+        q, m1, m2 = s_moments(0.0, delta, 2)
         assert np.array_equal(q, [s_cumulative(d) for d in delta])
         assert np.array_equal(m1, [s_first_moment(d) for d in delta])
-        assert np.array_equal(m2, [s_second_moment(d) for d in delta])
+        assert np.array_equal(m2, [s_moments(0.0, d, 2)[2] for d in delta])
+        assert np.array_equal(s_moments(0.0, delta, 1), [q, m1])
         assert np.all(m2 < delta * m1)
+        assert s_moments(0.0, 0.0, 2).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            s_moments(0.0, 0.5, 3)
+        with pytest.raises(ValueError):
+            s_moments(-0.5, 0.5, 1)
 
     def test_weighted_batch_head_is_exact_on_quadratics(self):
         from fracalc.quadrature import Singularity
@@ -322,7 +331,7 @@ class TestCumulative:
         c = np.array([1.0, -2.0, 3.0])
         r = s_weighted_batch(lambda z, i: c[0] + c[1] * z + c[2] * z * z,
                              delta, delta, Singularity.LOG_LEFT)
-        q, m1, m2 = s_head_moments(delta)
+        q, m1, m2 = s_moments(0.0, delta, 2)
         assert np.allclose(r.value, c[0] * q + c[1] * m1 + c[2] * m2,
                            rtol=1e-14, atol=0.0)
         # head only: no panels, converged, and the chord's change as the
@@ -343,8 +352,8 @@ class TestCumulative:
         lambda acc: volterra_s_array(np.array([0.5]), acc),
         lambda acc: s_cumulative(0.5, acc),
         lambda acc: s_first_moment(0.5, acc),
-        lambda acc: s_cell_moments(0.1, 4, acc),
-        lambda acc: s_second_moment(0.5, acc),
+        lambda acc: s_moments(0.1 * np.arange(1, 4), 0.1, 1, acc),
+        lambda acc: s_moments(0.0, 0.5, 2, acc),
     ])
     def test_work_budget_enforced(self, fn):
         with pytest.raises(RuntimeError, match="work budget"):
@@ -385,9 +394,45 @@ class TestIndependentSpotChecks:
                                   epsabs=1e-15, epsrel=1e-14, limit=4000)
         b, _ = integrate.quad_vec(lambda s: s * gammainc(s + 1.0, z), 0.0, top,
                                   epsabs=1e-15, epsrel=1e-14, limit=4000)
-        m0, m1 = s_cell_moments(dz, n)
+        m0, m1 = s_moments(dz * np.arange(n), dz, 1)
         assert np.allclose(m0, np.diff(q), rtol=1e-12, atol=0.0)
         assert np.allclose(m1, np.diff(b), rtol=1e-12, atol=0.0)
+
+    def test_s_moments_against_scipy(self):
+        # m0, m1, m2 of cells of different widths in one call: a head, a
+        # 1e-15 sliver, interior cells, one across 40 and one past it, as
+        # differences of M_j(z) = int_0^z t^j S(t) dt = int_0^inf
+        # s (s+1)...(s+j-1) P(s+j, z) ds; the sliver, where that
+        # difference cancels, against its midpoint rule w mid^j S(mid),
+        # S(mid) = e^(-mid) int_0^inf mid^(s-1)/Gamma(s) ds
+        integrate = pytest.importorskip("scipy.integrate")
+        sp = pytest.importorskip("scipy.special")
+        lo = np.array([0.0, 0.3, 0.3, 1.1, 2.5, 7.0, 39.5, 41.0])
+        width = np.array([0.3, 1e-15, 0.8, 0.05, 4.5, 0.125, 1.0, 2.0])
+        z = np.concatenate([lo, lo + width])
+        top = z.max() + 12.0 * math.sqrt(z.max() + 4.0) + 30.0
+        rising = (lambda s: 1.0, lambda s: s, lambda s: s * (s + 1.0))
+        got = s_moments(lo, width, 2)
+        for j, pre in enumerate(rising):
+            cum, _ = integrate.quad_vec(
+                lambda s: pre(s) * sp.gammainc(s + j, z) if s + j > 0.0
+                else np.zeros_like(z), 0.0, top, epsabs=1e-15, epsrel=1e-14,
+                limit=4000)
+            ref = cum[lo.size:] - cum[:lo.size]
+            cells = width > 1e-12
+            assert np.allclose(got[j][cells], ref[cells], rtol=1e-12,
+                               atol=0.0)
+        mid = 0.3 + 0.5e-15
+        s_mid = math.exp(-mid) * integrate.quad(
+            lambda s: mid ** (s - 1.0) * sp.rgamma(s), 0.0, np.inf,
+            epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for j in range(3):
+            assert got[j][1] == pytest.approx(1e-15 * mid ** j * s_mid,
+                                              rel=1e-12, abs=0.0)
+        # past 40 S is 1: the polynomial part, exactly
+        assert got[:2, -1].tolist() == [2.0, 84.0]
+        assert got[2, -1] == pytest.approx((43.0 ** 3 - 41.0 ** 3) / 3.0,
+                                           rel=1e-15, abs=0.0)
 
     def test_e1_array_against_scipy(self):
         exp1 = pytest.importorskip("scipy.special").exp1
