@@ -8,8 +8,6 @@ from .special import (
     EULER_GAMMA,
     ZETA2,
     e1,
-    ek,
-    log_gamma,
     p_regularized,
     volterra_s,
     s_cumulative,
@@ -63,7 +61,7 @@ from .relaxation import (
 
 __all__ = [
     "Accuracy", "DEFAULT_ACCURACY", "EULER_GAMMA", "ZETA2",
-    "e1", "ek", "log_gamma", "p_regularized", "volterra_s",
+    "e1", "p_regularized", "volterra_s",
     "s_cumulative", "e1_s_convolution",
     "QuadResult", "Singularity", "integrate",
     "integrate_semi_infinite", "laplace",

@@ -57,10 +57,10 @@ from .relaxation import (
 from .special import (
     Accuracy,
     DEFAULT_ACCURACY,
-    e1,
+    e1_array,
     p_regularized,
-    s_cumulative,
-    volterra_s,
+    s_moments,
+    volterra_s_array,
 )
 
 _FMT = "{:.15g}"
@@ -139,14 +139,13 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     acc = default_accuracy()
     points = _parse_floats(args.points, "points")
     fns = {
-        "e1": e1,
-        "s": lambda x: volterra_s(x, acc),
-        "q": lambda x: s_cumulative(x, acc),
-        "p": lambda x: p_regularized(args.s, x, acc),
+        "e1": e1_array,
+        "s": lambda x: volterra_s_array(x, acc),
+        "q": lambda x: s_moments(0.0, x, 0, acc)[0],
+        "p": lambda x: [p_regularized(args.s, v, acc) for v in x.tolist()],
     }
-    fn = fns[args.which]
     try:
-        values = [fn(x) for x in points]
+        values = np.asarray(fns[args.which](np.array(points))).tolist()
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"kernel evaluation failed: {exc}")
     _emit(_csv_text(["x", "value"], [points, values]), args.out)

@@ -24,7 +24,7 @@ O(n log n) whose weight spectrum is cached per lattice, so a warm apply
 evaluates no kernel.  At other points J, S and D sum the same cell
 terms in blocks of nodes times points, over [a, x] (left) or [x, b]
 (right), so the grid must cover the operator interval: the cell moments
-are closed E1 cumulative differences for J and D, and special.s_moments
+are differences of special.e1_moments for J and D, and special.s_moments
 of the clipped cells for S.
 Output at the collapsed endpoint (x = a for the left side) is 0 by
 continuity; that convention is a choice — the operators are only defined
@@ -58,8 +58,7 @@ from .special import (
     ZETA2,
     e1_array,
     e1_cumulative0_array,
-    e1_cumulatives_array,
-    ek,
+    e1_moments,
     s_moments,
     s_weighted_batch,
 )
@@ -229,8 +228,8 @@ def _j_weights(dz: float, n: int,
                acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
     """J's weights, from the closed E1 moments of the cells [k dz, (k+1)
     dz], k < n (no acc)."""
-    c0, c1 = e1_cumulatives_array(dz * np.arange(n + 1))
-    return _hat_from_moments(dz, np.diff(c0), np.diff(c1))
+    m0, m1 = np.diff(e1_moments(dz * np.arange(n + 1), 1))
+    return _hat_from_moments(dz, m0, m1)
 
 
 def _s_weights(dz: float, n: int,
@@ -318,11 +317,11 @@ def _off_lattice(g: GridFunction, p: OperatorParams, xs: np.ndarray,
     return vals
 
 
-def _e1_cells(z: np.ndarray, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+def _e1_cells(z: np.ndarray, acc: Accuracy) -> np.ndarray:
     """E1 moments m0, m1 of the cells between consecutive rows of z, as
-    differences of closed cumulatives (no acc)."""
-    c0, c1 = e1_cumulatives_array(z)
-    return c0[:-1] - c0[1:], c1[:-1] - c1[1:]
+    differences of the moments from 0 (no acc)."""
+    c = e1_moments(z, 1)
+    return c[:, :-1] - c[:, 1:]
 
 
 def _s_cells(z: np.ndarray, acc: Accuracy) -> np.ndarray:
@@ -465,69 +464,59 @@ def running_integral(f: FunctionSpec, interval: Interval, side: Side,
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _closed(p: OperatorParams, x, form: Callable):
-    """A closed form at x, a float or an array: form(x, r, E1(r)) where
+def _closed(p: OperatorParams, x, form: Callable,
+            kernel: Callable = e1_array):
+    """A closed form at x, a float or an array: form(x, r, kernel(r)) where
     the reduced coordinate r is positive, 0 where it is not, from one
-    E1 evaluation."""
+    kernel evaluation: E1(r), or the rows of its moments."""
     x = np.asarray(x, dtype=float)
     r = p.reduced(x)
     out = np.zeros_like(r)
     pos = r > 0.0
     if np.any(pos):
-        out[pos] = form(x[pos], r[pos], e1_array(r[pos]))
+        out[pos] = form(x[pos], r[pos], kernel(r[pos]))
     return float(out) if out.ndim == 0 else out
-
-
-def _bracket(k: int, r: np.ndarray, e1r: np.ndarray) -> np.ndarray:
-    """int_0^r z^k E1(z) dz, with e1r = E1(r):
-    r^(k+1) E1(r)/(k+1) - k!/(k+1) e_k(r) e^(-r) + k!/(k+1)."""
-    fac = math.factorial(k) / (k + 1.0)
-    return r ** (k + 1) * e1r / (k + 1.0) - fac * ek(k, r) * np.exp(-r) + fac
-
-
-def j_closed_constant(C: float, p: OperatorParams, x):
-    """First-kind integral of the constant C:
-    C [ r E1(r) - exp(-r) + 1 ], r the reduced coordinate."""
-    return _closed(p, x, lambda x, r, e: C * (r * e - np.exp(-r) + 1.0))
 
 
 _MAX_CLOSED_N = 20
 
 
-def _check_order(n: int, what: str) -> None:
-    if n < 0:
-        raise ValueError(f"{what} order must be >= 0, got {n}")
-    if n > _MAX_CLOSED_N:
-        raise ValueError(f"{what} closed form supports n <= {_MAX_CLOSED_N}")
+def _power_closed(n: int, p: OperatorParams, x, base: Callable,
+                  step: float):
+    """First-kind integral of the f with f(x -/+ alpha z) = (base(x) +
+    step z)^n: sum_k C(n, k) base^(n-k) step^k B_k(r), where B_k(r) =
+    int_0^r z^k E1(z) dz are the rows of one e1_moments call."""
+    if not 0 <= n <= _MAX_CLOSED_N:
+        raise ValueError(
+            f"closed forms support orders 0..{_MAX_CLOSED_N}, got {n}")
+
+    def form(x, r, moments):
+        b = base(x)
+        return sum(math.comb(n, k) * b ** (n - k) * step ** k * moments[k]
+                   for k in range(n + 1))
+
+    return _closed(p, x, form, lambda r: e1_moments(r, n))
+
+
+def j_closed_constant(C: float, p: OperatorParams, x):
+    """First-kind integral of the constant C: C B_0(r) = C [r E1(r) + 1 -
+    exp(-r)], r the reduced coordinate."""
+    return C * j_closed_monomial(0, p, x)
 
 
 def j_closed_monomial(n: int, p: OperatorParams, x):
-    """First-kind integral of t^n.
-
-    Left: sum_k (-alpha)^k C(n,k) x^(n-k) B_k(r); right mirrors with
-    +alpha^k and r = (b-x)/alpha, where B_k(r) = r^(k+1) E1(r)/(k+1)
-    - k!/(k+1) e_k(r) exp(-r) + k!/(k+1).  The constant term k!/(k+1)
-    is forced by B_k(0) = 0 (the k = 0 case reduces to the constant
-    closed form, and every closed form must vanish at the base point).
-    """
-    _check_order(n, "monomial")
-    sign = -1.0 if p.side == Side.LEFT else 1.0
-    return _closed(p, x, lambda x, r, e: sum(
-        (sign * p.alpha) ** k * math.comb(n, k) * x ** (n - k) * _bracket(k, r, e)
-        for k in range(n + 1)))
+    """First-kind integral of t^n: t = x -/+ alpha z, so the sum of
+    (-/+alpha)^k C(n,k) x^(n-k) B_k(r) over k, B_k(r) = int_0^r z^k E1(z)
+    dz from special.e1_moments; each B_k vanishes at r = 0, as every closed
+    form must at the base point."""
+    return _power_closed(n, p, x, lambda x: x, -p.sign * p.alpha)
 
 
 def j_closed_powshift(n: int, p: OperatorParams, x):
     """First-kind integral of (t-a)^n (left) or (b-t)^n (right); both
     sides carry (-alpha)^k because the shifted base tracks the kernel."""
-    _check_order(n, "powshift")
-
-    def form(x, r, e):
-        base = (x - p.interval.a) if p.side == Side.LEFT else (p.interval.b - x)
-        return sum((-p.alpha) ** k * math.comb(n, k) * base ** (n - k)
-                   * _bracket(k, r, e) for k in range(n + 1))
-
-    return _closed(p, x, form)
+    anchor = p.interval.a if p.side == Side.LEFT else p.interval.b
+    return _power_closed(n, p, x, lambda x: p.sign * (x - anchor), -p.alpha)
 
 
 def j_closed_e1kernel(p: OperatorParams, x):

@@ -289,11 +289,8 @@ def _semigroup_rows(acc: Accuracy) -> list[CheckRow]:
     xs = np.linspace(UNIT.a, UNIT.b, n + 1)
 
     def closed_const(alpha: float) -> np.ndarray:
-        r = xs / alpha
-        out = np.zeros_like(xs)
-        pos = r > 0.0
-        out[pos] = r[pos] * e1_array(r[pos]) - np.exp(-r[pos]) + 1.0
-        return out
+        p = OperatorParams(Side.LEFT, alpha, UNIT, acc)
+        return j_closed_constant(1.0, p, xs)
 
     inner = GridFunction(UNIT, closed_const(0.3))
     p = OperatorParams(Side.LEFT, 0.3, UNIT, acc)

@@ -61,6 +61,29 @@ class TestKernel:
             ["kernel", "--which", "e1", "--points", "-1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("which, scalar", [
+        ("e1", lambda x: fracalc.e1(x)),
+        ("s", lambda x: fracalc.volterra_s(x)),
+        ("q", lambda x: fracalc.s_cumulative(x))])
+    def test_many_points_match_one_point_values(self, which, scalar, capsys):
+        # one array evaluation for all points prints each point's own value
+        points = [1e-12, 3e-7, 0.01, 0.7, 1.0, 3.3, 12.0, 39.5, 45.0]
+        code, out, _ = run_main(["kernel", "--which", which, "--points",
+                                 ",".join(map(repr, points[::-1]))], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"{x:.15g},{scalar(x):.15g}" for x in points[::-1]]
+
+    @pytest.mark.parametrize("which, points", [
+        ("e1", "1,0"), ("e1", "nan,2"), ("s", "1,1e-13"), ("s", "2,nan"),
+        ("q", "1,-0.5")])
+    def test_bad_point_among_many_rejected(self, which, points, capsys):
+        code, out, err = run_main(["kernel", "--which", which, "--points",
+                                   points], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("kernel evaluation failed:")
+
 
 class TestApply:
     def test_constant_matches_closed_form(self, capsys):

@@ -41,7 +41,7 @@ from fracalc.special import (
     DEFAULT_ACCURACY,
     e1,
     e1_array,
-    e1_cumulatives_array,
+    e1_moments,
     s_cumulative,
     s_moments,
     volterra_s_array,
@@ -119,6 +119,30 @@ class TestClosedPowshift:
 
     def test_vanishes_at_base(self):
         assert j_closed_powshift(3, left(0.4), 0.0) == 0.0
+
+
+class TestClosedFormsAgainstQuadrature:
+    """j_closed_monomial and j_closed_powshift against mpmath quadrature of
+    (1/alpha) int E1(|x - t|/alpha) f(t) dt over [a, x] (left) or [x, b]
+    (right), which shares nothing with the moments they are built from."""
+
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0])
+    def test_high_orders(self, side, alpha):
+        mp = pytest.importorskip("mpmath")
+        p = OperatorParams(side, alpha, UNIT)
+        with mp.workdps(30):
+            for x in (0.1, 0.5, 0.9):
+                ends = [0, x] if side == Side.LEFT else [x, 1]
+                for n in (5, 10, 20):
+                    shifted = ((lambda t: t ** n) if side == Side.LEFT
+                               else (lambda t: (1 - t) ** n))
+                    for closed, f in ((j_closed_monomial, lambda t: t ** n),
+                                      (j_closed_powshift, shifted)):
+                        ref = mp.quad(lambda t: mp.e1(abs(x - t) / alpha)
+                                      * f(t), ends) / alpha
+                        assert closed(n, p, x) == pytest.approx(
+                            float(ref), rel=1e-12 if n <= 10 else 1e-10)
 
 
 class TestClosedE1Kernel:
@@ -480,7 +504,8 @@ class TestApplyS:
         def evaluated(*args):
             raise AssertionError("kernel evaluated on a warm lattice")
 
-        monkeypatch.setattr(operators, "e1_cumulatives_array", evaluated)
+        monkeypatch.setattr(operators, "e1_moments", evaluated)
+        monkeypatch.setattr(operators, "e1_cumulative0_array", evaluated)
         monkeypatch.setattr(operators, "s_moments", evaluated)
         monkeypatch.setattr(operators, "e1_array", evaluated)
         monkeypatch.setattr(special, "e1_array", evaluated)
@@ -493,8 +518,7 @@ class TestApplyS:
 
 def _e1_cell_moments(dz, n, acc):
     """E1 moments m0, m1 of the cells [k dz, (k+1) dz], k < n."""
-    c0, c1 = e1_cumulatives_array(dz * np.arange(n + 1))
-    return np.diff(c0), np.diff(c1)
+    return np.diff(e1_moments(dz * np.arange(n + 1), 1))
 
 
 def _s_cell_moments(dz, n, acc):

@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracalc.operators import _bracket
 from fracalc.special import (
     Accuracy,
     EULER_GAMMA,
     ZETA2,
     e1,
+    _lower_gammas,
     e1_array,
-    ek,
+    e1_moments,
     e1_s_convolution,
-    log_gamma,
     log_gamma_array,
     p_regularized,
     p_regularized_array,
@@ -105,6 +104,14 @@ class TestE1Array:
         assert out.shape == ()
         assert float(out) == e1_array(np.array([x]))[0]
 
+    def test_nan_rejected(self):
+        # NaN fails every branch's test, so it must raise rather than leave
+        # its entry of the output unset
+        with pytest.raises(ValueError):
+            e1_array(np.array([2.0, np.nan]))
+        with pytest.raises(ValueError):
+            volterra_s_array(np.array([0.5, np.nan]))
+
     def test_two_dimensional(self):
         # nodes x points blocks, as the off-lattice J evaluator passes them
         x = np.geomspace(1e-3, 200.0, 60).reshape(6, 10)
@@ -128,58 +135,91 @@ class TestE1Array:
 
 
 class TestEkAndMoments:
-    def test_ek_single_term(self):
-        assert ek(0, 7.3) == 1.0
-
-    def test_ek_partial_sum(self):
-        assert ek(2, 1.0) == pytest.approx(2.5, abs=1e-15)
-
-    def test_ek_converges_to_exp(self):
-        assert ek(30, 1.0) == pytest.approx(math.e, abs=1e-12)
-
-    def test_ek_domain(self):
-        with pytest.raises(ValueError):
-            ek(-1, 1.0)
-
-    # the moments int_0^x t^n E1(t) dt are operators._bracket: the
-    # antiderivative x^(n+1) E1(x)/(n+1) - n!/(n+1) e_n(x) e^(-x) plus its
-    # constant n!/(n+1), so that they vanish at 0
+    """The E1 moments int_0^x t^k E1(t) dt = (x^(k+1) E1(x) + gamma(k + 1,
+    x))/(k + 1), and the lower incomplete gammas gamma(k + 1, x) = k! (1 -
+    e^(-x) e_k(x)), e_k the exponential partial sums, behind them."""
 
     def test_moment_limit_at_zero(self):
-        # the antiderivative tends to -1 at 0+, so the moment tends to 0
-        assert _bracket(0, 1e-10, e1(1e-10)) - 1.0 == pytest.approx(
-            -1.0, abs=1e-8)
+        assert e1_moments(1e-10, 0)[0] == pytest.approx(0.0, abs=1e-8)
+        assert np.array_equal(e1_moments(np.zeros(3), 4), np.zeros((5, 3)))
 
     def test_moment_at_one(self):
         expected = E1_AT_1 - math.exp(-1.0)
-        assert _bracket(0, 1.0, e1(1.0)) - 1.0 == pytest.approx(expected,
-                                                                abs=1e-12)
+        assert e1_moments(1.0, 0)[0] - 1.0 == pytest.approx(expected,
+                                                             abs=1e-12)
         assert expected == pytest.approx(-0.1484955, abs=5e-8)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
     def test_moment_is_antiderivative(self, n, x):
         h = 1e-5
-        fd = (_bracket(n, x + h, e1(x + h))
-              - _bracket(n, x - h, e1(x - h))) / (2 * h)
+        fd = (e1_moments(x + h, 2)[n] - e1_moments(x - h, 2)[n]) / (2 * h)
         assert fd == pytest.approx(x ** n * e1(x), abs=1e-6)
 
     def test_moment_domain(self):
-        with pytest.raises(ValueError):
-            _bracket(-1, 1.0, e1(1.0))
+        for k in (-1, 21):
+            with pytest.raises(ValueError):
+                e1_moments(1.0, k)
+
+    def test_moments_shape(self):
+        z = np.geomspace(1e-3, 50.0, 12).reshape(3, 4)
+        rows = e1_moments(z, 3)
+        assert rows.shape == (4, 3, 4)
+        assert np.array_equal(rows.reshape(4, -1), e1_moments(z.ravel(), 3))
+
+    def test_lower_gammas_against_mpmath(self):
+        # 1e-300 to 1e300, and dense where the rows switch between the
+        # partial-sum and series forms, which depends on k; values that
+        # underflow are skipped, and past b = 1e4 gamma(j + 1, b) is j!
+        # within e^(-9000)
+        mp = pytest.importorskip("mpmath")
+        b = np.concatenate([np.geomspace(1e-300, 1e300, 61),
+                            np.linspace(0.05, 30.0, 120)])
+        with mp.workdps(30):
+            ref = [[mp.factorial(j) if x > 1e4
+                    else mp.gammainc(j + 1, 0, mp.mpf(x)) for x in b]
+                   for j in range(21)]
+        for k in (0, 1, 2, 5, 20):
+            rows = _lower_gammas(b, k)
+            assert rows.shape == (k + 1, b.size)
+            for j in range(k + 1):
+                for got, want in zip(rows[j], ref[j]):
+                    if want > 1e-290:
+                        assert abs(got - want) <= 4e-15 * want
+
+    def test_moments_against_mpmath(self):
+        # the rows of every j against the gamma identity evaluated in
+        # mpmath, and some, independently of it, against quadrature
+        mp = pytest.importorskip("mpmath")
+        z = np.array([1e-8, 1e-3, 0.5, 5.0, 50.0, 800.0])
+        rows = e1_moments(z, 20)
+        with mp.workdps(30):
+            for zi, col in zip(z, rows.T):
+                x = mp.mpf(zi)
+                for j in range(21):
+                    ref = (x ** (j + 1) * mp.e1(x)
+                           + mp.gammainc(j + 1, 0, x)) / (j + 1)
+                    assert col[j] == pytest.approx(float(ref), rel=1e-14)
+                # t = s u, s = min(z, 1), so the integral is of order 1
+                s = min(x, 1)
+                cuts = [0] + [c for c in (1, 4, 16, 64, 256) if c < x] + [x]
+                for j in (0, 1, 2, 7, 20):
+                    ref = s ** (j + 1) * mp.quad(
+                        lambda u: u ** j * mp.e1(s * u), [c / s for c in cuts])
+                    assert col[j] == pytest.approx(float(ref), rel=1e-14)
 
 
 class TestLogGamma:
     def test_exact_points(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)),
-                                               rel=1e-13)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
+        one, half, five = log_gamma_array(np.array([1.0, 0.5, 5.0]))
+        assert one == pytest.approx(0.0, abs=1e-14)
+        assert half == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
+        assert five == pytest.approx(math.log(24.0), rel=1e-13)
 
     def test_against_stdlib(self):
-        for s in np.geomspace(1e-3, 1e4, 200):
-            assert log_gamma(float(s)) == pytest.approx(
-                math.lgamma(float(s)), rel=1e-13, abs=1e-13)
+        s = np.geomspace(1e-3, 1e4, 200)
+        ref = [math.lgamma(float(v)) for v in s]
+        assert log_gamma_array(s) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
     def test_array_route(self):
         s = np.geomspace(1e-2, 500.0, 64)
@@ -189,7 +229,7 @@ class TestLogGamma:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            log_gamma(0.0)
+            log_gamma_array(np.array([1.0, 0.0]))
 
 
 class TestRegularizedGamma:
@@ -230,7 +270,7 @@ class TestRegularizedGamma:
     def test_derivative_in_x(self, s, x):
         h = 1e-5
         fd = (p_regularized(s, x + h) - p_regularized(s, x - h)) / (2 * h)
-        expected = x ** (s - 1.0) * math.exp(-x - log_gamma(s))
+        expected = x ** (s - 1.0) * math.exp(-x - math.lgamma(s))
         assert fd == pytest.approx(expected, abs=1e-6)
 
 
