@@ -19,6 +19,7 @@ cached, and each sweep is one forward and one inverse real FFT, O(n log n).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -27,8 +28,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .funcspec import FunctionSpec, Grid, GridFunction, Interval, parse_spec, eval_spec_array
-from .operators import OperatorParams, Side, apply_s
+from .funcspec import FunctionSpec, GridFunction, Interval, parse_spec, eval_spec_array
+from .operators import OperatorParams, Side, _lattice_apply, _s_weights
 from .special import Accuracy, DEFAULT_ACCURACY, s_cumulative
 
 TIME_DOMAIN = Interval(0.0, 1.0)
@@ -108,19 +109,24 @@ def contraction_constant(alpha: float, lam: float, cf: float,
         raise ValueError(f"alpha must be positive, got {alpha}")
     if lam < 0.0 or cf < 0.0:
         raise ValueError("lambda and cf must be nonnegative")
-    return alpha * (lam + cf) * s_cumulative(1.0 / alpha, acc)
+    return alpha * (lam + cf) * _kernel_mass(alpha, acc)
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel_mass(alpha: float, acc: Accuracy) -> float:
+    """Q(1/alpha), once per alpha: every solve_picard needs it for kappa."""
+    return s_cumulative(1.0 / alpha, acc)
 
 
 def apply_t(h: GridFunction, alpha: float,
             acc: Accuracy = DEFAULT_ACCURACY) -> GridFunction:
     """The solution operator T: left second-kind integral on [0, 1],
-    pinned to 0 at t = 0."""
+    pinned to 0 at t = 0, on h's own lattice (apply_s's lattice engine,
+    without its report)."""
     if h.interval != TIME_DOMAIN:
         raise ValueError("apply_t expects a grid on [0, 1]")
     p = OperatorParams(Side.LEFT, alpha, TIME_DOMAIN, acc)
-    out = apply_s(Grid(h), p, h.n).outputs
-    out.values[0] = 0.0
-    return out
+    return GridFunction(TIME_DOMAIN, _lattice_apply(h, p, _s_weights, alpha))
 
 
 # Growth of the sup change over its smallest value so far that stops a

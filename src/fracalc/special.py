@@ -18,7 +18,11 @@ double-exponentially on the right.  Integrating in t under the v-integral
 gives any cell's moments, Q among them, as integrals of the same kind with
 smooth integrands in v (s_moments).  All of them are one plain trapezoid
 sum in v with step 0.2, which converges exponentially on such integrands
-(the discretization error is below 1e-20).
+(the discretization error is below 1e-20).  S itself evaluates that sum
+with its left tail folded: on the nodes where x e^v <= 1/2, exp(-x e^v)
+is its Taylor series, so those nodes add one polynomial in x with
+coefficients tabulated once, and only about 30 nodes per point take an
+exp (volterra_s_array).
 
 Q is never computed by integrating S directly: S blows up like
 1/(x ln^2 x) at 0+ and the mass below the smallest positive double is
@@ -423,11 +427,11 @@ _V_LO = -40.0
 # exp(-x)/(x ln^2 x); beyond this cutoff the difference is under 1e-20.
 _S_SATURATION = 40.0
 
-# cells (or points) x v-nodes per chunk of s_moments and volterra_s_array.
-# The exponentials of every chunk of a call fill one 512 KiB buffer, so
-# peak memory does not grow with the call; a fresh temporary per chunk,
-# which glibc may return to the OS and fault in again for the next, made
-# verify's volterra_s_array 2.5 times slower (2 vCPU).
+# cells (or points) x v-nodes per chunk of s_moments and per bucket of
+# volterra_s_array.  The exponentials of every chunk of a call fill one
+# 512 KiB buffer, so peak memory does not grow with the call; a fresh
+# temporary per chunk, which glibc may return to the OS and fault in again
+# for the next, made verify's volterra_s_array 2.5 times slower (2 vCPU).
 _S_ENTRIES = 2 ** 16
 
 
@@ -436,17 +440,24 @@ def _v_count(v_hi: float) -> int:
     return int((max(v_hi, _V_LO) - _V_LO) / _V_STEP) + 2
 
 
-def _v_nodes(v_hi: float, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid nodes v on [_V_LO, v_hi] and the weights h/(v^2 + pi^2).
-
-    Raises RuntimeError when the rule needs more nodes than acc.max_work.
-    """
+def _v_budget(v_hi: float, acc: Accuracy) -> int:
+    """_v_count(v_hi); raises RuntimeError when that is more nodes than
+    acc.max_work."""
     count = _v_count(v_hi)
     if count > acc.max_work:
         raise RuntimeError(
             f"trapezoid rule on [{_V_LO}, {v_hi:.6g}] needs {count} nodes, "
             f"more than the work budget of {acc.max_work}"
         )
+    return count
+
+
+def _v_nodes(v_hi: float, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid nodes v on [_V_LO, v_hi] and the weights h/(v^2 + pi^2).
+
+    Raises RuntimeError when the rule needs more nodes than acc.max_work.
+    """
+    count = _v_budget(v_hi, acc)
     # integer multiples of the step: np.arange(lo, hi, h) drifts from h
     # by ~1e-14 relative, which biases every weight by as much
     v = _V_LO + _V_STEP * np.arange(count)
@@ -465,6 +476,35 @@ def _v_chunks(key: np.ndarray, todo: np.ndarray, v_hi: Callable[[float], float],
         idx = order[start:start + max(1, _S_ENTRIES // v.size)]
         start += idx.size
         yield idx, v, w
+
+
+# The fold of volterra_s_array.  Where y = x e^v <= _FOLD_TAU, exp(-y) is
+# its Taylor sum to order _FOLD_ORDER, whose remainder is under
+# tau^18/18! < 6e-22.  Points go in buckets by their first exact node,
+# rounded down to a multiple of _FOLD_GROUP; since ln(50/tau) < 24 h, a
+# bucket's _FOLD_EXACT nodes reach past ln(50/x) for every point in it.
+_FOLD_TAU = 0.5
+_FOLD_ORDER = 17
+_FOLD_GROUP = 8
+_FOLD_EXACT = _FOLD_GROUP + math.ceil(math.log(50.0 / _FOLD_TAU) / _V_STEP)
+
+
+def _fold_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^v and w e^v on the nodes up to ln(50/1e-12) and one bucket more,
+    and the fold's coefficients (-1)^k P_k[J]/k!, k <= _FOLD_ORDER, by J:
+    with P_k[J] = sum_(j<J) w_j e^((k+1) v_j), a prefix sum of positive
+    terms, the nodes j < J add sum_k (-x)^k/k! P_k[J] to S(x) e^x - 1."""
+    v, w = _v_nodes(math.log(50.0 / 1e-12) + _FOLD_GROUP * _V_STEP,
+                    DEFAULT_ACCURACY)
+    k = np.arange(_FOLD_ORDER + 1)
+    prefix = np.zeros((k.size, v.size + 1))
+    np.cumsum(w * np.exp(np.outer(k + 1, v)), axis=1, out=prefix[:, 1:])
+    signed = np.array([(-1) ** i * math.factorial(i) for i in k], dtype=float)
+    ev = np.exp(v)
+    return ev, w * ev, prefix / signed[:, None]
+
+
+_FOLD_EV, _FOLD_WEV, _FOLD_COEF = _fold_table()
 
 
 def _sigma(v: np.ndarray) -> np.ndarray:
@@ -507,20 +547,45 @@ def volterra_s_array(x: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndar
 
         S(x) = 1 + exp(-x) h sum_v exp(-x e^v) e^v/(v^2 + pi^2)
 
-    over v in [-40, ln(50/x_min)] (the right tail is under exp(-50)), in
-    the chunks of _v_chunks.  S is 1 from x = 40 on.
+    over v in [-40, ln(50/x)] (the right tail is under exp(-50)); S is 1
+    from x = 40 on.  The nodes where y = x e^v <= _FOLD_TAU take exp(-y)
+    as its Taylor sum, so together they add sum_k x^k _FOLD_COEF[k, J],
+    one polynomial in x per point (see _fold_table).  Only the nodes from
+    its bucket's first exact node J up to ln(50/x), _FOLD_EXACT of them,
+    take an exp, and the points of one bucket share them.  The work
+    budget counts the whole rule, _v_count(ln(50/x_min)) nodes.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 1e-12):  # NaN too
         raise ValueError("volterra_s_array requires x >= 1e-12 throughout")
     flat = x.ravel()
     out = np.ones_like(flat)
+    todo = np.nonzero(flat < _S_SATURATION)[0]
+    if todo.size == 0:
+        return out.reshape(x.shape)
+    xs = flat[todo]
+    _v_budget(math.log(50.0 / xs.min()), acc)
+    # the first node with x e^v > tau, rounded down to its bucket's
+    first = np.floor((np.log(_FOLD_TAU / xs) - _V_LO) / _V_STEP).astype(
+        np.intp) + 1
+    first -= first % _FOLD_GROUP
+    # Horner, one gather per step: gathering every row at once would hold
+    # _FOLD_ORDER + 1 floats per point, 1.5 MB for one of verify's calls
+    s = _FOLD_COEF[-1].take(first)
+    for c in _FOLD_COEF[-2::-1]:
+        s *= xs
+        s += c.take(first)
+    order = np.argsort(first)
     buf = np.empty(_S_ENTRIES)
-    for idx, v, w in _v_chunks(flat, np.nonzero(flat < _S_SATURATION)[0],
-                               lambda x0: math.log(50.0 / x0), acc):
-        xs, ev = flat[idx], np.exp(v)
-        e = np.outer(xs, -ev, out=buf[:xs.size * v.size].reshape(xs.size, -1))
-        out[idx] = 1.0 + np.exp(-xs) * (np.exp(e, out=e) @ (w * ev))
+    for bucket in np.split(order, np.flatnonzero(np.diff(first[order])) + 1):
+        j = first[bucket[0]]
+        ev, wev = _FOLD_EV[j:j + _FOLD_EXACT], _FOLD_WEV[j:j + _FOLD_EXACT]
+        for lo in range(0, bucket.size, _S_ENTRIES // _FOLD_EXACT):
+            idx = bucket[lo:lo + _S_ENTRIES // _FOLD_EXACT]
+            e = np.outer(xs[idx], -ev,
+                         out=buf[:idx.size * _FOLD_EXACT].reshape(idx.size, -1))
+            s[idx] += np.exp(e, out=e) @ wev
+    out[todo] = 1.0 + np.exp(-xs) * s
     return out.reshape(x.shape)
 
 

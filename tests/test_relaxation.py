@@ -17,7 +17,7 @@ from fracalc.funcspec import (
     render_spec,
     sample_spec,
 )
-from fracalc.operators import OperatorParams, Side, apply_j
+from fracalc.operators import OperatorParams, Side, apply_j, apply_s
 from fracalc.relaxation import (
     Affine,
     Autonomous,
@@ -277,14 +277,17 @@ class TestPicard:
     ], ids=["sample", "sweep"])
     def test_contracting_runs_match_plain_iteration(self, prob, n):
         # below kappa = 1 the divergence stop is never armed: the sweeps
-        # are bit for bit those of the plain iteration
+        # are bit for bit those of the plain iteration, T being the public
+        # left apply_s on [0, 1] pinned to 0 at t = 0
         u, diag = solve_picard(prob, zeros(n))
         assert diag.kappa < 1.0 and diag.converged
         rhs = prob.rhs_at(u.nodes())
+        p = OperatorParams(Side.LEFT, prob.alpha, TIME_DOMAIN)
         v, plain = np.zeros(n + 1), []
         for _ in range(prob.max_iter):
             h = GridFunction(TIME_DOMAIN, -prob.lam * v + rhs(v))
-            nxt = apply_t(h, prob.alpha).values
+            nxt = apply_s(Grid(h), p, n).outputs.values
+            nxt[0] = 0.0
             plain.append(float(np.max(np.abs(nxt - v))))
             v = nxt
             if plain[-1] < prob.tol:

@@ -13,6 +13,7 @@ from fracalc.special import (
     ZETA2,
     e1,
     _lower_gammas,
+    _v_count,
     e1_array,
     e1_moments,
     e1_s_convolution,
@@ -294,6 +295,50 @@ class TestVolterraKernel:
         assert volterra_s(50.0) == 1.0
         assert volterra_s(39.0) == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def unfolded(x):
+        """S by the plain trapezoid sum, one per point: nodes v_j = -40 +
+        0.2 j up to the first past ln(50/x), weights 0.2 e^v/(v^2 + pi^2),
+        every exp(-x e^v) taken; 1 from x = 40 on."""
+        out = np.ones_like(x)
+        for i, xi in enumerate(x):
+            if xi < 40.0:
+                v = -40.0 + 0.2 * np.arange(int((math.log(50.0 / xi) + 40.0)
+                                                / 0.2) + 2)
+                terms = 0.2 * np.exp(v) / (v * v + math.pi ** 2)
+                out[i] = 1.0 + math.exp(-xi) * np.sum(terms * np.exp(-xi * np.exp(v)))
+        return out
+
+    def test_fold_against_unfolded_sum(self):
+        # log-spaced points, and the points where x e^(v_j) = 1/2: the fold
+        # threshold of every node that can hold it, the bucket edges
+        # among them, and a neighbour to either side
+        v = -40.0 + 0.2 * np.arange(400)
+        edge = 0.5 * np.exp(-v)
+        edge = edge[(edge >= 1e-12) & (edge < 40.0)]
+        x = np.concatenate([np.geomspace(1e-12, 40.0, 401)[:-1], edge,
+                            np.nextafter(edge, 0.0), np.nextafter(edge, 40.0)])
+        ref = self.unfolded(x)
+        assert np.max(np.abs(volterra_s_array(x) / ref - 1.0)) < 2e-15
+
+    def test_fold_batches(self):
+        # a point's value agrees whatever its batch, and every shape
+        # passes through
+        x = np.array([50.0, 1e-12, 40.0, 39.999, 0.3, 1e300, 2.5e-7])
+        one = np.array([volterra_s_array(np.array([xi]))[0] for xi in x])
+        assert np.max(np.abs(volterra_s_array(x) / self.unfolded(x) - 1.0)) < 2e-15
+        assert np.max(np.abs(one / self.unfolded(x) - 1.0)) < 2e-15
+        assert volterra_s_array(np.float64(0.3)).shape == ()
+        assert float(volterra_s_array(np.float64(0.3))) == pytest.approx(
+            one[4], rel=2e-15, abs=0.0)
+        grid = volterra_s_array(x[:6].reshape(2, 3))
+        assert grid.shape == (2, 3)
+        assert np.allclose(grid.ravel(), one[:6], rtol=2e-15, atol=0.0)
+        assert volterra_s_array(np.array([])).shape == (0,)
+        assert volterra_s_array(np.empty((0, 3))).shape == (0, 3)
+        assert np.array_equal(volterra_s_array(np.array([40.0, 41.5, 1e300])),
+                              np.ones(3))
+
 
 class TestCumulative:
     def test_zero(self):
@@ -399,12 +444,21 @@ class TestCumulative:
         with pytest.raises(RuntimeError, match="work budget"):
             fn(Accuracy(max_work=8))
 
+    @pytest.mark.parametrize("x", [1e-12, 1e-3, 1.0])
+    def test_s_work_budget_threshold(self, x):
+        # the budget counts every node of the rule, folded ones too
+        c = _v_count(math.log(50.0 / x))
+        with pytest.raises(RuntimeError, match="work budget"):
+            volterra_s_array(np.array([x]), Accuracy(max_work=c - 1))
+        assert volterra_s_array(np.array([x]), Accuracy(max_work=c))[0] > 1.0
+
 
 class TestIndependentSpotChecks:
     """The S family and E1 against mpmath/scipy evaluations of their
     definitions, sharing no algorithm with the evaluators."""
 
-    @pytest.mark.parametrize("x", [1e-12, 1e-6, 1e-3, 0.5, 3.0, 20.0, 39.0])
+    @pytest.mark.parametrize("x", [1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.5,
+                                   1.7, 3.0, 8.0, 20.0, 35.0, 39.0])
     def test_s_against_mpmath(self, x):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
