@@ -114,24 +114,33 @@ def _parse_spec_arg(text: str) -> FunctionSpec:
         raise SystemExit(f"bad function spec: {exc}")
 
 
-def _column(values, rows: int) -> list[str]:
-    """One CSV column as text, from a list of Python values or from one
-    value repeated on every row (formatted once): bools as true/false,
-    numbers at 15 significant digits.  Columns from numpy arrays go
-    through .tolist(), which formats faster."""
-    if not isinstance(values, list):
-        return _column([values], 1) * rows
-    if values and isinstance(values[0], bool):
-        return ["true" if v else "false" for v in values]
-    return list(map(_FMT.format, values))
+def _field(value) -> str:
+    """One value as CSV text: a bool as true/false, a number at 15
+    significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _FMT.format(value)
 
 
 def _csv_text(header: list[str], columns: list) -> str:
     """CSV text with "\n" line ends: the header, then one line per row
-    across the columns.  Numbers, true/false and the header names hold no
-    comma, quote or line break, so no field needs CSV quoting."""
-    rows = max(len(c) for c in columns if isinstance(c, list))
-    lines = map(",".join, zip(*(_column(c, rows) for c in columns)))
+    across the columns.  A column is a list of Python values (from numpy
+    arrays through .tolist(), which formats faster) or one value repeated
+    on every row, formatted once.  Each row is one %-template: numbers as
+    %.15g, the same text as format's {:.15g}.  Numbers, true/false and the
+    header names hold no comma, quote or line break, so no field needs CSV
+    quoting."""
+    fields, data = [], []
+    for c in columns:
+        if not isinstance(c, list):
+            fields.append(_field(c))
+        elif c and isinstance(c[0], bool):
+            fields.append("%s")
+            data.append([_field(v) for v in c])
+        else:
+            fields.append("%.15g")
+            data.append(c)
+    lines = map(",".join(fields).__mod__, zip(*data))
     return "\n".join([",".join(header), *lines]) + "\n"
 
 

@@ -41,11 +41,12 @@ from .operators import (
     OperatorParams,
     OperatorReport,
     Side,
+    _E1,
     _anchor_term,
     _carrier_err,
-    _d_off_lattice,
     _d_weights,
     _lattice_apply,
+    _mode_history,
     apply_j,
     apply_j_at,
     apply_s,
@@ -158,7 +159,10 @@ def d_frac_at(g: GridFunction, p: OperatorParams,
               xs: np.ndarray) -> np.ndarray:
     """Derivative of the carrier of g at arbitrary points; the grid must
     cover the operator interval."""
-    return _d_off_lattice(g, p, np.asarray(xs, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    anchor = p.interval.a if p.side == Side.LEFT else p.interval.b
+    return (p.sign * _mode_history(g, p, xs, _E1, of_slopes=True)
+            + _anchor_term(float(g(anchor)), p, xs))
 
 
 def check_inversion_ds(phi: FunctionSpec, p: OperatorParams,
@@ -189,7 +193,8 @@ def check_inversion_ds(phi: FunctionSpec, p: OperatorParams,
 
 def katr_residual(f: FunctionSpec, p: OperatorParams,
                   n_check: int = 21, fine_n: int = 2048,
-                  tolerance: float = 1e-3) -> ResidualReport:
+                  tolerance: float = 1e-3,
+                  conv_memo: dict | None = None) -> ResidualReport:
     """Residual of the correction identity for S applied to the
     fractional derivative:
 
@@ -201,7 +206,9 @@ def katr_residual(f: FunctionSpec, p: OperatorParams,
     split through its absolutely continuous representation: the boundary
     kernel term contributes boundary * (E1*S)(reduced) — evaluated by
     convolution quadrature, not assumed to be 1 — while the J(f') part
-    runs through the grid pipeline.
+    runs through the grid pipeline.  That convolution depends on p and
+    n_check only: calls that share a conv_memo dict compute it once per
+    (p, n_check) key.
     """
     if not is_bounded(f):
         raise ValueError("correction-identity check needs a bounded input")
@@ -218,7 +225,11 @@ def katr_residual(f: FunctionSpec, p: OperatorParams,
     if ac.boundary_value != 0.0:
         # the boundary kernel term of the derivative turns into the
         # E1*S convolution under S; sign follows the derivative's
-        conv = e1_s_convolution_array(p.reduced(xs), p.acc)
+        conv = None if conv_memo is None else conv_memo.get((p, n_check))
+        if conv is None:
+            conv = e1_s_convolution_array(p.reduced(xs), p.acc)
+            if conv_memo is not None:
+                conv_memo[(p, n_check)] = conv
         pipeline = pipeline + p.sign * ac.boundary_value * conv
     target = eval_spec_array(f, xs, p.interval, p.alpha)
     if p.side == Side.RIGHT:

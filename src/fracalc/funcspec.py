@@ -238,18 +238,15 @@ def render_spec(f: FunctionSpec) -> str:
 
 
 def load_grid_csv(path: str | Path) -> GridFunction:
-    """Read CSV x,value rows with strictly increasing uniform x."""
-    xs: list[float] = []
-    vs: list[float] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("x", ""):
-                continue
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-    if len(xs) < 3:
+    """Read CSV x,value rows with strictly increasing uniform x; a row
+    whose first field is x or empty (a header, a blank line) is skipped,
+    and fields past the second are ignored."""
+    with open(path) as fh:
+        rows = [line for line in fh
+                if line.split(",", 1)[0].strip().lower() not in ("x", "")]
+    if len(rows) < 3:
         raise ValueError(f"grid file {path} needs at least 3 rows")
-    x = np.asarray(xs)
+    x, vs = np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2).T
     dx = np.diff(x)
     if np.any(dx <= 0.0):
         raise ValueError(f"grid file {path} must have strictly increasing x")

@@ -15,17 +15,20 @@ non-removable singularity through special.s_weighted_batch, whose head
 S; delta = 1e-3 in z, scaled down by width/alpha when alpha exceeds the
 interval's width, so the head spans at most 1e-3 of the interval in t.
 Grid inputs are integrated exactly
-(piecewise-linear carrier against closed kernel moments), which keeps
-the L^p norm inequalities honest at machine precision.  On the input's
-own lattice, or a sub-lattice of it, J, S and the derivative D = d/dx J
-(the derivatives module) each run as one Toeplitz convolution against
-their own hat-function weights, a zero-padded real-FFT product in
-O(n log n) whose weight spectrum is cached per lattice, so a warm apply
-evaluates no kernel.  At other points J, S and D sum the same cell
-terms in blocks of nodes times points, over [a, x] (left) or [x, b]
-(right), so the grid must cover the operator interval: the cell moments
-are differences of special.e1_moments for J and D, and special.s_moments
-of the clipped cells for S.
+(piecewise-linear carrier against exact kernel cell moments, each about
+its cell's low end), which keeps the L^p norm inequalities honest at
+machine precision.  On the input's own lattice, or a sub-lattice of it,
+J, S and the derivative D = d/dx J (the derivatives module) each run as
+one Toeplitz convolution against their own hat-function weights, a
+zero-padded real-FFT product in O(n log n) whose weight spectrum is
+cached per lattice, so a warm apply evaluates no kernel.  J's and D's
+weights past the first cell are sums over E1's exponential modes
+(special.e1_modes), by shifted power blocks; S's come from
+special.s_moments.  At other points J, S and D integrate over [a, x]
+(left) or [x, b] (right), so the grid must cover the operator interval:
+the few cells nearest x take exact moments, and all older cells one
+history per exponential mode of the kernel, advanced from point to point
+in order of x, in O((n + points) K) work for K modes.
 Output at the collapsed endpoint (x = a for the left side) is 0 by
 continuity; that convention is a choice — the operators are only defined
 almost everywhere.
@@ -57,9 +60,11 @@ from .special import (
     EULER_GAMMA,
     ZETA2,
     e1_array,
-    e1_cumulative0_array,
     e1_moments,
+    e1_modes,
+    exp_moments,
     s_moments,
+    s_modes,
     s_weighted_batch,
 )
 
@@ -176,18 +181,13 @@ def _s_analytic(f: FunctionSpec, p: OperatorParams,
 #     v_j m0_j + alpha slope_j (z_far m0_j - m1_j)
 # with m0, m1 the kernel's moments over the cell's z-range and z_far the
 # z of its far node t_j.  Regrouped by node, cell l at lag l puts
-#     near_l = (z_far,l m0_l - m1_l)/dz  on its far node and
-#     far_l = m0_l - near_l               on its near node,
+#     far_l = m1_l/dz, m1 taken about the cell's low end, on its far node
+#     near_l = m0_l - far_l                                on its near node,
 # so on the lattice the integral at node i is
 #     v_0 far_(i-1) + sum_(k=1..i) v_k W_(i-k),
 # W_0 = near_0, W_L = near_L + far_(L-1): the hat-function weights.
 # The derivative of the carrier (below) has the same shape with weights
 # of its own, so J, S and D share one engine and one weight cache.
-
-# nodes x points per off-lattice block: the E1 temporaries stay near
-# 128 KiB each, so peak memory does not grow with the number of points
-_BLOCK_ENTRIES = 2 ** 14
-
 
 def _oriented(g: GridFunction,
               side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,40 +214,90 @@ _hat_cache: OrderedDict = OrderedDict()
 _hat_lock = threading.Lock()
 
 
-def _hat_from_moments(dz: float, m0: np.ndarray,
-                      m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hat weights W and anchor weights far from a kernel's cell moments."""
-    near = (dz * np.arange(1, m0.size + 1) * m0 - m1) / dz
-    far = m0 - near
+def _hat(near: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hat weights W and anchor weights far from the cells' shares near and
+    far."""
     w = near.copy()
     w[1:] += far[:-1]
     return w, far
 
 
+# Lags per power block of _e1_lags, and the entries (modes x blocks) of
+# one chunk of its block scales.
+_LAG_BLOCK = 64
+_LAG_ENTRIES = 2 ** 14
+
+
+def _e1_lags(dz: float, n: int, columns: Callable) -> np.ndarray:
+    """sum_v c_v e^(-a_v l dz) X_v at the lags l = 1..n-1 over E1's modes
+    (a, c) on the lattice dz, one row per column X of columns(a, g0, g1),
+    g_j = int_0^dz y^j e^(-a y) dy; the column g_j gives the cells' moment
+    j about their own low ends.  By shifted power blocks: with l = 1 + 64 B
+    + j, e^(-a l dz) = e^(-a j dz) e^(-a (1 + 64 B) dz), so one table of
+    the columns times e^(-a j dz), j < 64, against each block's scale
+    replaces the exp of every lag and mode.  Every term keeps the sign of
+    its column."""
+    a, c = e1_modes(dz)
+    g0, g1 = exp_moments(a, dz, 1)
+    cols = c * np.stack(columns(a, g0, g1))
+    blocks = -(-(n - 1) // _LAG_BLOCK)
+    table = (cols[:, None, :] * np.exp(
+        np.outer(-dz * np.arange(_LAG_BLOCK), a))).reshape(-1, a.size)
+    out = np.empty((len(cols), blocks, _LAG_BLOCK))
+    per = max(1, _LAG_ENTRIES // a.size)
+    for b0 in range(0, blocks, per):
+        b = np.arange(b0, min(b0 + per, blocks))
+        y = table @ np.exp(np.outer(a, -dz * (1 + _LAG_BLOCK * b)))
+        out[:, b] = y.reshape(len(cols), _LAG_BLOCK, b.size).transpose(0, 2, 1)
+    return out.reshape(len(cols), -1)[:, :n - 1]
+
+
+def _e1_lattice_moments(dz: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """E1 moments m0, m1 of the cells [l dz, (l + 1) dz], l < n, about
+    their low ends: the head cell from the closed e1_moments, every other
+    cell a sum of positive terms over E1's modes."""
+    m0, m1 = np.empty(n), np.empty(n)
+    m0[0], m1[0] = e1_moments(dz, 1)
+    m0[1:], m1[1:] = _e1_lags(dz, n, lambda a, g0, g1: (g0, g1))
+    return m0, m1
+
+
 def _j_weights(dz: float, n: int,
                acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """J's weights, from the closed E1 moments of the cells [k dz, (k+1)
-    dz], k < n (no acc)."""
-    m0, m1 = np.diff(e1_moments(dz * np.arange(n + 1), 1))
-    return _hat_from_moments(dz, m0, m1)
+    """J's weights (no acc): with m0, m1 a cell's moments about its low
+    end, far = m1/dz and near = m0 - far, at least half of m0."""
+    m0, m1 = _e1_lattice_moments(dz, n)
+    far = m1 / dz
+    return _hat(m0 - far, far)
 
 
 def _s_weights(dz: float, n: int,
                acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """S's weights, from its cell moments (the alpha factor is the
+    """S's weights, from its cell moments about 0 (the alpha factor is the
     apply's scale)."""
-    return _hat_from_moments(dz, *s_moments(dz * np.arange(n), dz, 1, acc))
+    m0, m1 = s_moments(dz * np.arange(n), dz, 1, acc)
+    near = (dz * np.arange(1, n + 1) * m0 - m1) / dz
+    return _hat(near, m0 - near)
 
 
 def _d_weights(dz: float, n: int,
                acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """The derivative's weights.  Cell j adds slope_j m0_j = (v_(j+1) -
-    v_j) m0_j/(alpha dz), so with the +/-1/alpha factor left to the apply's
-    scale, W_0 = m0_0/dz and W_L = (m0_L - m0_(L-1))/dz by node, and the
-    anchor's value adds E1(z_i) - m0_(i-1)/dz at node i."""
-    z = dz * np.arange(n + 1)
-    m0 = np.diff(e1_cumulative0_array(z))
-    return np.diff(m0, prepend=0.0) / dz, e1_array(z[1:]) - m0 / dz
+    """The derivative's weights (no acc).  Cell j adds slope_j m0_j =
+    (v_(j+1) - v_j) m0_j/(alpha dz), so with the +/-1/alpha factor left to
+    the apply's scale, W_0 = m0_0/dz and W_L = (m0_L - m0_(L-1))/dz by node,
+    and the anchor's value adds E1(z_i) - m0_(i-1)/dz at node i.  Past the
+    head cell both are sums over E1's modes of one sign: per mode, W_L =
+    -e^(-a (L-1) dz) a g0^2/dz for L >= 2, and E1(z_i) - m0_(i-1)/dz =
+    -e^(-a (i-1) dz) a g1/dz for i >= 2."""
+    head = float(e1_moments(dz, 0)[0])
+    m0, dw, dfar = _e1_lags(
+        dz, n, lambda a, g0, g1: (g0, a * g0 * g0 / dz, a * g1 / dz))
+    w, far = np.empty(n), np.empty(n)
+    w[0], far[0] = head / dz, float(e1_array(np.array([dz]))[0]) - head / dz
+    w[1:2] = (m0[:1] - head) / dz
+    w[2:] = -dw[:n - 2]
+    far[1:] = -dfar
+    return w, far
 
 
 def _hat_weights(weights: Callable, dz: float, n: int,
@@ -294,39 +344,122 @@ def _lattice_apply(g: GridFunction, p: OperatorParams, weights: Callable,
     return out if p.side == Side.LEFT else out[::-1]
 
 
-def _off_lattice(g: GridFunction, p: OperatorParams, xs: np.ndarray,
-                 block_sum: Callable) -> np.ndarray:
-    """All nodes against one block of points at a time: z = max(+/-(x -
-    t), 0)/alpha, and the same clipped to the reduced coordinate of x, so
-    only [a, x] (left) or [x, b] (right) counts and the anchor cell is
-    partial, as is the cell at z = 0 that holds x.  block_sum(v, slopes,
-    z, z_clipped) returns the block's values; its cell moments are taken
-    over the cells [z_clipped[j+1], z_clipped[j]] along the node axis."""
+# Off the lattice, a point x splits [a, x] (left) or [x, b] (right) at the
+# node _NEAR_CELLS whole cells before the cell that holds x.  The cells
+# after that node, the one holding x partial, take the kernel's exact cell
+# moments, as does the anchor's cell, clipped, when it is among them.
+# Every older cell is history: with the kernel a sum of modes c_v e^(-a_v
+# z) (special.e1_modes, special.s_modes) it adds
+#     sum_v c_v e^(-a_v theta) H_v(L),
+# L the history's last node, theta the z of x from it, and
+# H_v(L) = int e^(-a_v (z - z_L)) f dz over the history.  From node L to L'
+#     H_v(L') = e^(-a_v (L' - L) dz) H_v(L)
+#               + sum_(j=L..L'-1) e^(-a_v (L' - 1 - j) dz) h_v(j),
+# h_v(j) cell j's own term, so the points, taken in order of x, advance one
+# history by one modes x gap product each: O((n + points) K) work, not
+# O(n points K).  The anchor's cell, clipped, is the history's first.
+_NEAR_CELLS = 2
+# modes x points (and modes x gap) per temporary of the history, so peak
+# memory does not grow with the number of points
+_MODE_ENTRIES = 2 ** 14
+
+
+def _e1_near_moments(lo: np.ndarray, width: np.ndarray,
+                     acc: Accuracy) -> np.ndarray:
+    """E1 moments m0, m1 of the cells [lo, lo + width] about lo, as
+    differences of special.e1_moments (no acc): near x, where lo is a few
+    cells at most, they lose no more than a few bits."""
+    c = e1_moments(np.stack([lo + width, lo]), 1)
+    m0 = c[0, 0] - c[0, 1]
+    return np.stack([m0, c[1, 0] - c[1, 1] - lo * m0])
+
+
+def _s_near_moments(lo: np.ndarray, width: np.ndarray,
+                    acc: Accuracy) -> np.ndarray:
+    """S moments m0, m1 of the cells [lo, lo + width] about lo."""
+    m0, m1 = s_moments(lo, width, 1, acc)
+    return np.stack([m0, m1 - lo * m0])
+
+
+# (modes(z_min, acc), near_moments) of each kernel; J's and D's mode rule
+# counts against no work budget, as no other E1 quantity does
+_E1 = (lambda z_min, acc: e1_modes(z_min), _e1_near_moments)
+_S = (s_modes, _s_near_moments)
+
+
+def _mode_history(g: GridFunction, p: OperatorParams, xs: np.ndarray,
+                  kernel: tuple, of_slopes: bool = False) -> np.ndarray:
+    """The kernel's integral of the carrier of g (of its cell slopes, a
+    step function, if of_slopes) over [a, x] (left) or [x, b] (right) at
+    any points xs, in any order: 0 where the reduced coordinate is not
+    positive.  The grid must cover the operator interval."""
     if not (g.interval.a <= p.interval.a and p.interval.b <= g.interval.b):
         raise ValueError(
             f"grid input on [{g.interval.a:g}, {g.interval.b:g}] does not "
             f"cover the operator interval [{p.interval.a:g}, {p.interval.b:g}]")
+    modes, near_moments = kernel
     t, v, slopes = _oriented(g, p.side)
-    cols = max(1, _BLOCK_ENTRIES // t.size)
-    vals = np.empty_like(xs)
-    for lo in range(0, xs.size, cols):
-        x = xs[lo:lo + cols]
-        z = np.maximum(p.sign * (x - t[:, None]), 0.0) / p.alpha
-        vals[lo:lo + cols] = block_sum(
-            v, slopes, z, np.minimum(z, np.maximum(p.reduced(x), 0.0)))
+    # cell j as its value at its end toward x and its slope: at distance
+    # u from t_0 inside it, f = end_j - slope_j (u_(j+1) - u)
+    end, slope = (slopes, 0.0 * slopes) if of_slopes else (v[1:], slopes)
+    cells = np.stack([end, slope], axis=1)
+    n, alpha = g.n, p.alpha
+    dz = g.spacing / alpha
+    u = p.sign * (t - t[0])
+    anchor = p.interval.a if p.side == Side.LEFT else p.interval.b
+    ua = p.sign * (anchor - t[0])
+    ca = int(np.clip(np.searchsorted(u, ua, "right") - 1, 0, n - 1))
+
+    on = np.flatnonzero(p.reduced(xs) > 0.0)
+    ux = p.sign * (xs[on] - t[0])
+    order = np.argsort(ux, kind="stable")
+    on, ux = on[order], ux[order]
+    k = np.clip(np.searchsorted(u, ux, "right") - 1, 0, n - 1)
+    last = np.maximum(k - _NEAR_CELLS, ca)  # the history's last node
+
+    a, c = modes(_NEAR_CELLS * dz, p.acc)
+    h0, h1 = exp_moments(a, (u[ca + 1] - ua) / alpha, 1)
+    hist = h0 * end[ca] - alpha * h1 * slope[ca]  # H at node ca + 1
+    at = ca + 1
+    gaps = np.diff(last[last > ca], prepend=at)
+    span = max(1, min(int(gaps.max(initial=1)),
+                      _MODE_ENTRIES // (2 * a.size)))
+    decay = np.exp(np.outer(-dz * a, np.arange(span + 1)))
+    # e^(-a m dz) h_v(j) = ahead[v, 2 m:2 m + 2] . cells[j]
+    g0, g1 = exp_moments(a, dz, 1)
+    ahead = (decay[:, :span, None] * np.stack([g0, -alpha * g1], axis=1)[
+        :, None, :]).reshape(a.size, -1)
+
+    vals = np.zeros(xs.size)
+    per = max(1, _MODE_ENTRIES // a.size)
+    for lo in range(0, on.size, per):
+        x, kc, lc = ux[lo:lo + per], k[lo:lo + per], last[lo:lo + per]
+        # the near cells j = last .. k, clipped to [ua, x]
+        j = kc + np.arange(-_NEAR_CELLS, 1)[:, None]
+        jc = np.maximum(j, 0)
+        top = np.minimum(u[jc + 1], x)
+        bot = np.maximum(u[jc], ua)
+        full = (top == u[jc + 1]) & (bot == u[jc])
+        width = np.where(j >= lc, np.where(full, dz, (top - bot) / alpha), 0.0)
+        m0, m1 = near_moments((x - top) / alpha, width, p.acc)
+        f_top = end[jc] - slope[jc] * (u[jc + 1] - top)
+        out = np.sum(f_top * m0 - alpha * slope[jc] * m1, axis=0)
+        # the history at each point's last node, in order of the points
+        cols = np.zeros((a.size, x.size))
+        runs = np.flatnonzero(np.diff(lc, prepend=-1)).tolist()
+        for i, i_end in zip(runs, runs[1:] + [x.size]):
+            node = int(lc[i])
+            while at < node:
+                step = min(node - at, span)
+                hist = decay[:, step] * hist + ahead[:, :2 * step] @ cells[
+                    at + step - 1:at - 1:-1].ravel()
+                at += step
+            if node > ca:
+                cols[:, i:i_end] = hist[:, None]
+        e = np.exp(np.outer(-a, (x - u[lc]) / alpha))
+        e *= cols
+        vals[on[lo:lo + per]] = out + c @ e
     return vals
-
-
-def _e1_cells(z: np.ndarray, acc: Accuracy) -> np.ndarray:
-    """E1 moments m0, m1 of the cells between consecutive rows of z, as
-    differences of the moments from 0 (no acc)."""
-    c = e1_moments(z, 1)
-    return c[:, :-1] - c[:, 1:]
-
-
-def _s_cells(z: np.ndarray, acc: Accuracy) -> np.ndarray:
-    """S moments m0, m1 of the cells between consecutive rows of z."""
-    return s_moments(z[1:], z[:-1] - z[1:], 1, acc)
 
 
 # The derivative D = d/dx J of the carrier is closed: with g(anchor) its
@@ -340,18 +473,6 @@ def _anchor_term(value: float, p: OperatorParams, xs) -> np.ndarray:
     return _closed(p, xs, lambda x, r, e: p.sign * value * (e / p.alpha))
 
 
-def _d_off_lattice(g: GridFunction, p: OperatorParams,
-                   xs: np.ndarray) -> np.ndarray:
-    """D of the carrier at any points of the operator interval."""
-    def block_sum(v, slopes, z, z_clipped):
-        c0 = e1_cumulative0_array(z_clipped)
-        return np.dot(slopes, c0[:-1] - c0[1:])
-
-    anchor = p.interval.a if p.side == Side.LEFT else p.interval.b
-    return (p.sign * _off_lattice(g, p, xs, block_sum)
-            + _anchor_term(float(g(anchor)), p, xs))
-
-
 # ---------------------------------------------------------------------------
 # the public operators
 # ---------------------------------------------------------------------------
@@ -362,22 +483,15 @@ def _carrier_err(g: GridFunction) -> float:
 
 
 def _at(f: FunctionSpec, p: OperatorParams, xs: np.ndarray, analytic: Callable,
-        cells: Callable, scale: float
+        kernel: tuple, scale: float
         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Body of apply_j_at/apply_s_at.  For a grid input, scale times the
-    carrier's cell terms v_j m0_j + alpha slope_j (z_far m0_j - m1_j) at
-    any points, with the kernel's moments cells(z_clipped, acc) = (m0,
-    m1); else one adaptive batch over the points."""
+    """Body of apply_j_at/apply_s_at: for a grid input, scale times the
+    kernel's _mode_history of its carrier; else one adaptive batch over
+    the points."""
     xs = np.asarray(xs, dtype=float)
     if not isinstance(f, Grid):
         return analytic(f, p, xs)
-
-    def block_sum(v, slopes, z, z_clipped):
-        m0, m1 = cells(z_clipped, p.acc)
-        return (np.dot(v[:-1], m0)
-                + np.dot(p.alpha * slopes, z[:-1] * m0 - m1))
-
-    return (scale * _off_lattice(f.fn, p, xs, block_sum),
+    return (scale * _mode_history(f.fn, p, xs, kernel),
             np.ones_like(xs, dtype=bool), np.full_like(xs, _carrier_err(f.fn)))
 
 
@@ -403,7 +517,7 @@ def apply_j_at(f: FunctionSpec, p: OperatorParams,
                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First-kind integral at arbitrary points; returns (values,
     converged flags, error estimates)."""
-    return _at(f, p, xs, _j_analytic, _e1_cells, 1.0)
+    return _at(f, p, xs, _j_analytic, _E1, 1.0)
 
 
 def apply_j(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
@@ -415,7 +529,7 @@ def apply_s_at(f: FunctionSpec, p: OperatorParams,
                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Second-kind integral at arbitrary points; returns (values,
     converged flags, error estimates)."""
-    return _at(f, p, xs, _s_analytic, _s_cells, p.alpha)
+    return _at(f, p, xs, _s_analytic, _S, p.alpha)
 
 
 def apply_s(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:

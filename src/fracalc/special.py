@@ -6,7 +6,10 @@ kernel S(x) = exp(-x) * int_0^inf x^(s-1)/Gamma(s) ds and any cell's
 moments int t^k S(t) dt, k <= 2, among them the cumulative kernel mass
 Q(X) = int_0^X S(t) dt; and the regularized lower incomplete gamma P(s,
 x).  The E1 and S moments share one helper for the lower incomplete
-gammas gamma(j + 1, b) of integer order.
+gammas gamma(j + 1, b) of integer order.  On the nodes of the S rule
+below, both kernels are also sums of decaying exponentials c e^(-a z),
+a = 1 + e^v (e1_modes, s_modes), whose cell integrals are closed
+(exp_moments): the grid operators' history runs over these modes.
 
 Every S quantity comes from one representation.  With u = e^v in
 S(x) = 1 + exp(-x) int_0^inf exp(-xu)/(ln^2 u + pi^2) du,
@@ -457,7 +460,12 @@ def _v_nodes(v_hi: float, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
 
     Raises RuntimeError when the rule needs more nodes than acc.max_work.
     """
-    count = _v_budget(v_hi, acc)
+    return _v_grid(_v_budget(v_hi, acc))
+
+
+def _v_grid(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first count trapezoid nodes v from _V_LO and the weights
+    h/(v^2 + pi^2)."""
     # integer multiples of the step: np.arange(lo, hi, h) drifts from h
     # by ~1e-14 relative, which biases every weight by as much
     v = _V_LO + _V_STEP * np.arange(count)
@@ -633,14 +641,27 @@ def s_moments(lo, width, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray
         raise ValueError("s_moments requires lo >= 0 and width >= 0")
     g = np.zeros((k + 1, lo.size))
     head = (lo == 0.0) & (d > 0.0)
-    for i in np.nonzero(head)[0]:
-        ln_d = math.log(d[i])
-        v, w = _v_nodes(40.0 - ln_d, acc)
-        b = d[i] + np.exp(v + ln_d)  # e^v alone overflows for d < ~1e-306
-        terms = _cell_terms(b, v, w, k, np.exp(-b))
-        # G_0 - 1/2, whose integrand is under exp(-40) past v = ln(40/d)
-        terms[0] = -terms[0][:_v_count(math.log(40.0) - ln_d)]
-        g[:, i] = [np.sum(t) for t in terms]
+    heads = np.nonzero(head)[0]
+    ln_d = np.zeros(lo.size)
+    ln_d[heads] = [math.log(x) for x in d[heads].tolist()]
+    # heads with the same node count and the same cut of G_0 share one
+    # matrix of terms, in chunks of at most _S_ENTRIES entries
+    groups: dict = {}
+    for i in heads.tolist():
+        key = (_v_budget(40.0 - ln_d[i], acc),
+               _v_count(math.log(40.0) - ln_d[i]))
+        groups.setdefault(key, []).append(i)
+    for (count, cut), members in groups.items():
+        v, w = _v_grid(count)
+        rows = max(1, _S_ENTRIES // count)
+        for start in range(0, len(members), rows):
+            idx = np.array(members[start:start + rows])
+            # e^v alone overflows for d < ~1e-306
+            b = d[idx, None] + np.exp(v + ln_d[idx, None])
+            terms = _cell_terms(b, v, w, k, np.exp(-b))
+            # G_0 - 1/2, whose integrand is under exp(-40) past v = ln(40/d)
+            terms[0] = -terms[0][:, :cut]
+            g[:, idx] = [t.sum(axis=1) for t in terms]
     body = np.nonzero((lo > 0.0) & (lo < _S_SATURATION) & (d > 0.0))[0]
     body = body[np.argsort(d[body])]
     buf = np.empty(_S_ENTRIES)
@@ -663,6 +684,46 @@ def s_moments(lo, width, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray
         out[2] = (d * (lo * (lo + d) + d * d / 3.0)
                   + (lo * (lo * g[0] + 2.0 * g[1]) + g[2]))
     return out.reshape((k + 1,) + shape)
+
+
+# ---------------------------------------------------------------------------
+# both kernels as sums of decaying exponentials
+# ---------------------------------------------------------------------------
+
+def e1_modes(z_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rates a and weights c with E1(z) = sum c e^(-a z) for z >= z_min
+    (the sum being the trapezoid rule of E1 = int sigma(v) e^(-z a) dv,
+    a = 1 + e^v, c = h sigma(v)), on the nodes of the S rule from -40 to
+    ln(50/z_min).  A fixed rule, like e1_array's: its node count follows
+    from z_min and counts against no work budget."""
+    v, _ = _v_grid(_v_count(math.log(50.0 / z_min)))
+    return 1.0 + np.exp(v), _V_STEP * _sigma(v)
+
+
+def s_modes(z_min: float,
+            acc: Accuracy = DEFAULT_ACCURACY) -> tuple[np.ndarray, np.ndarray]:
+    """Rates a and weights c with S(z) = sum c e^(-a z) for z >= z_min:
+    the mode a = 0, c = 1 first (S's constant 1), then the nodes of
+    volterra_s_array's sum, a = 1 + e^v, c = h e^v/(v^2 + pi^2), on
+    [-40, ln(50/z_min)].  Raises RuntimeError when that is more nodes than
+    acc.max_work."""
+    v, w = _v_nodes(math.log(50.0 / z_min), acc)
+    ev = np.exp(v)
+    return np.concatenate([[0.0], 1.0 + ev]), np.concatenate([[1.0], w * ev])
+
+
+def exp_moments(a: np.ndarray, width: float, k: int) -> np.ndarray:
+    """int_0^width y^j e^(-a y) dy, j = 0..k, for rates a >= 0 (a
+    1-d array), as k + 1 rows: gamma(j + 1, a width)/a^(j + 1), and
+    width^(j + 1)/(j + 1) where a = 0.  Every term is positive."""
+    a = np.asarray(a, dtype=float)
+    out = np.empty((k + 1, a.size))
+    pos = a > 0.0
+    ap = a[pos]
+    for j, gamma in enumerate(_lower_gammas(ap * width, k)):
+        out[j][pos] = gamma / ap ** (j + 1)
+        out[j][~pos] = width ** (j + 1) / (j + 1)
+    return out
 
 
 def s_cumulative(X: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:

@@ -355,6 +355,7 @@ def suite_inversion(alphas=None, acc: Accuracy = DEFAULT_ACCURACY) -> list[Check
     rows = _thaya_rows(alphas, acc)
     tinv_specs = (("const1", Const(1.0)), ("sin2", Sin(2.0)),
                   ("poly_sq", Poly((1.0, 0.0, 1.0))))
+    conv_memo: dict = {}  # katr's E1*S reference, one per alpha and side
     for alpha in alphas:
         for side in (Side.LEFT, Side.RIGHT):
             p = OperatorParams(side, alpha, UNIT, acc)
@@ -364,7 +365,7 @@ def suite_inversion(alphas=None, acc: Accuracy = DEFAULT_ACCURACY) -> list[Check
                                      alpha, rep.residual, 0.0, rep.tolerance,
                                      rep.passed))
             for name, f in (("const1", Const(1.0)), ("poly_1px", Poly((1.0, 1.0)))):
-                rep = katr_residual(f, p)
+                rep = katr_residual(f, p, conv_memo=conv_memo)
                 rows.append(CheckRow(f"katr_{name}", side.value, alpha,
                                      rep.residual, 0.0, rep.tolerance,
                                      rep.passed))

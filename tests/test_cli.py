@@ -212,6 +212,48 @@ class TestApply:
         assert code == 2
 
 
+    def test_grid_file_with_a_one_column_row(self, tmp_path, capsys):
+        (tmp_path / "g.csv").write_text("0,1\n0.5\n1,3\n")
+        code, out, err = run_main(
+            ["apply", "--op", "j", "--side", "left", "--alpha", "0.5",
+             "--spec", f"grid:{tmp_path / 'g.csv'}", "--interval", "0,1",
+             "--n-out", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("apply failed: ")
+
+
+def _csv_text_by_format(header, columns):
+    """The emitter's text by one str.format call per field, the form the
+    %-templates replaced."""
+    def column(values, rows):
+        if not isinstance(values, list):
+            return column([values], 1) * rows
+        if values and isinstance(values[0], bool):
+            return ["true" if v else "false" for v in values]
+        return list(map("{:.15g}".format, values))
+
+    rows = max(len(c) for c in columns if isinstance(c, list))
+    lines = map(",".join, zip(*(column(c, rows) for c in columns)))
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("columns", [
+        [[0.0, 0.5, 1.0], [1e-300, -0.0, 12345678.901234567], [True, False, True],
+         2.5e-14],
+        [[1, 2, 3], False, [float("inf"), float("nan"), -float("inf")]],
+        [np.linspace(-1.0, 3.0, 4097).tolist(),
+         np.random.default_rng(2).standard_normal(4097).tolist(),
+         (np.arange(4097) % 3 == 0).tolist(), 0.1],
+        [[], [], True],
+    ], ids=["mixed", "ints-specials", "apply-sized", "empty"])
+    def test_bytes_match_format(self, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        assert cli._csv_text(header, columns) == _csv_text_by_format(
+            header, columns)
+
+
 class TestVerify:
     def test_laplace_suite_passes(self, capsys):
         code, out, _ = run_main(["verify", "--suite", "laplace"], capsys)

@@ -277,6 +277,24 @@ class TestCorrectionIdentity:
         rep = katr_residual(Poly((1.0, 1.0)), left(0.4))
         assert rep.residual < 1e-3
 
+    def test_shared_convolution(self, monkeypatch):
+        # calls sharing a memo compute the E1*S reference once per
+        # operator, with the residuals of separate calls bit for bit
+        import fracalc.derivatives as derivatives
+
+        specs = (Const(1.0), Poly((1.0, 1.0)))
+        alone = [katr_residual(f, q).residual
+                 for q in (left(0.4), right(0.4)) for f in specs]
+        calls = []
+        convolution = derivatives.e1_s_convolution_array
+        monkeypatch.setattr(derivatives, "e1_s_convolution_array",
+                            lambda *a: calls.append(a) or convolution(*a))
+        memo = {}
+        shared = [katr_residual(f, q, conv_memo=memo).residual
+                  for q in (left(0.4), right(0.4)) for f in specs]
+        assert shared == alone
+        assert len(calls) == 2
+
     def test_rejects_unbounded(self):
         from fracalc.funcspec import E1KernelLeft
         with pytest.raises(ValueError):

@@ -157,6 +157,22 @@ class TestGrid:
         assert back.interval == g.interval
         assert np.allclose(back.values, g.values, rtol=1e-14)
 
+    def test_csv_header_blank_rows_and_extra_columns(self, tmp_path):
+        # a row whose first field is x or empty is skipped; fields past
+        # the second are ignored
+        path = tmp_path / "g.csv"
+        path.write_text("x,value,note\n\n0,1,a\n ,9\n0.5,2,b\n\n"
+                        "X ,v\n1,3,c\n")
+        g = load_grid_csv(path)
+        assert g.interval == UNIT
+        assert np.array_equal(g.values, [1.0, 2.0, 3.0])
+
+    def test_csv_one_column_row(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("0,1\n0.5\n1,3\n")
+        with pytest.raises(ValueError):
+            load_grid_csv(path)
+
     def test_csv_rejects_nonuniform(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1\n0.5,2\n0.8,3\n")

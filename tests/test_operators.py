@@ -41,7 +41,6 @@ from fracalc.special import (
     DEFAULT_ACCURACY,
     e1,
     e1_array,
-    e1_moments,
     s_cumulative,
     s_moments,
     volterra_s_array,
@@ -505,7 +504,8 @@ class TestApplyS:
             raise AssertionError("kernel evaluated on a warm lattice")
 
         monkeypatch.setattr(operators, "e1_moments", evaluated)
-        monkeypatch.setattr(operators, "e1_cumulative0_array", evaluated)
+        monkeypatch.setattr(operators, "e1_modes", evaluated)
+        monkeypatch.setattr(operators, "exp_moments", evaluated)
         monkeypatch.setattr(operators, "s_moments", evaluated)
         monkeypatch.setattr(operators, "e1_array", evaluated)
         monkeypatch.setattr(special, "e1_array", evaluated)
@@ -517,13 +517,16 @@ class TestApplyS:
 
 
 def _e1_cell_moments(dz, n, acc):
-    """E1 moments m0, m1 of the cells [k dz, (k+1) dz], k < n."""
-    return np.diff(e1_moments(dz * np.arange(n + 1), 1))
+    """E1 moments m0, m1 of the cells [k dz, (k+1) dz], k < n, about
+    their low ends, as the J lattice takes them."""
+    return operators._e1_lattice_moments(dz, n)
 
 
 def _s_cell_moments(dz, n, acc):
-    """S moments m0, m1 of the cells [k dz, (k+1) dz], k < n."""
-    return s_moments(dz * np.arange(n), dz, 1, acc)
+    """S moments m0, m1 of the cells [k dz, (k+1) dz], k < n, about
+    their low ends."""
+    m0, m1 = s_moments(dz * np.arange(n), dz, 1, acc)
+    return m0, m1 - dz * np.arange(n) * m0
 
 
 def _direct_lattice(g, p, cell_moments, scale):
@@ -533,7 +536,7 @@ def _direct_lattice(g, p, cell_moments, scale):
     m0, m1 = cell_moments(dz, g.n, p.acc)
     _, v, slopes = _oriented(g, p.side)
     a, b = v[:-1], p.alpha * slopes
-    w = dz * np.arange(1, g.n + 1) * m0 - m1
+    w = dz * m0 - m1
     ref, mag = np.zeros(g.n + 1), np.zeros(g.n + 1)
     ref[1:] = scale * (np.convolve(a, m0) + np.convolve(b, w))[:g.n]
     mag[1:] = scale * (np.convolve(np.abs(a), np.abs(m0))
