@@ -23,10 +23,11 @@ its input.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .special import (
 )
 
 _FMT = "{:.15g}"
+_OUT_HELP = "output CSV path (stdout when omitted)"
 
 
 def default_accuracy() -> Accuracy:
@@ -144,7 +146,7 @@ def _csv_text(header: list[str], columns: list) -> str:
     return "\n".join([",".join(header), *lines]) + "\n"
 
 
-def _cmd_kernel(args: argparse.Namespace) -> int:
+def _cmd_kernel(args: SimpleNamespace) -> int:
     acc = default_accuracy()
     points = _parse_floats(args.points, "points")
     fns = {
@@ -161,7 +163,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
+def _cmd_apply(args: SimpleNamespace) -> int:
     acc = default_accuracy()
     if args.alpha <= 0.0:
         raise SystemExit(f"alpha must be positive, got {args.alpha}")
@@ -188,7 +190,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     acc = default_accuracy()
     alphas = _parse_floats(args.alpha_list, "alpha") if args.alpha_list else None
     rows = verify.run_suite(args.suite, alphas, acc)
@@ -196,7 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 3 if any(not r.passed for r in rows) else 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: SimpleNamespace) -> int:
     acc = default_accuracy()
     alphas = _parse_floats(args.alpha_list, "alpha")
     if any(a <= 0.0 for a in alphas):
@@ -221,7 +223,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_relax(args: argparse.Namespace) -> int:
+def _cmd_relax(args: SimpleNamespace) -> int:
     acc = default_accuracy()
     try:
         prob = problem_from_json(args.problem)
@@ -251,62 +253,224 @@ def _cmd_relax(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="fracalc",
-        description="fractional integral/derivative operators of the "
-                    "exponential-integral and Volterra kernels",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+# The options of each command, one row per option:
+#     (flag, dest, type, required, choices, default, help).
+# parse_args reads these rows, and -h prints them.
+_COMMANDS = {
+    "kernel": ("tabulate a kernel function", _cmd_kernel, (
+        ("--which", "which", str, True, ("e1", "s", "p", "q"), None,
+         "kernel function"),
+        ("--points", "points", str, True, None, None,
+         "comma-separated evaluation points"),
+        ("--s", "s", float, False, None, 1.0, "shape parameter for --which p"),
+        ("--out", "out", str, False, None, None, _OUT_HELP),
+    )),
+    "apply": ("apply a fractional operator", _cmd_apply, (
+        ("--op", "op", str, True, ("j", "s", "d"), None,
+         "first-kind integral, second-kind integral or derivative"),
+        ("--side", "side", str, True, ("left", "right"), None, None),
+        ("--alpha", "alpha", float, True, None, None, "kernel scale, > 0"),
+        ("--spec", "spec", str, True, None, None,
+         "function spec, e.g. const:1"),
+        ("--interval", "interval", str, True, None, None, "a,b"),
+        ("--n-out", "n_out", int, True, None, None,
+         "number of output intervals"),
+        ("--out", "out", str, False, None, None, _OUT_HELP),
+    )),
+    "verify": ("run an identity verification suite", _cmd_verify, (
+        ("--suite", "suite", str, True,
+         ("all", "integrals", "inversion", "derivatives", "laplace"), None,
+         None),
+        ("--alpha-list", "alpha_list", str, False, None, None,
+         "comma-separated alphas (the suite's own when omitted)"),
+        ("--out", "out", str, False, None, None, _OUT_HELP),
+    )),
+    "sweep": ("alpha sweep of L1 convergence distances", _cmd_sweep, (
+        ("--spec", "spec", str, True, None, None,
+         "function spec, e.g. sin:3"),
+        ("--alpha-list", "alpha_list", str, True, None, None,
+         "comma-separated alphas"),
+        ("--side", "side", str, False, ("left", "right"), "left", None),
+        ("--interval", "interval", str, False, None, "0,1", "a,b"),
+        ("--n", "n", int, False, None, 800, "grid intervals"),
+        ("--out", "out", str, False, None, None, _OUT_HELP),
+    )),
+    "relax": ("solve a fractional relaxation problem", _cmd_relax, (
+        ("--problem", "problem", str, True, None, None, "problem JSON path"),
+        ("--u0", "u0", str, False, None, "zero", "zero | const:<c>"),
+        ("--out", "out", str, False, None, None,
+         "solution CSV path (stdout when omitted)"),
+        ("--diagnostics", "diagnostics", str, False, None, None,
+         "diagnostics JSON path (stderr when omitted)"),
+    )),
+}
+_DESCRIPTION = ("fractional integral/derivative operators of the "
+                "exponential-integral and Volterra kernels")
+_HELP_FLAGS = ("-h", "--help")
 
-    k = sub.add_parser("kernel", help="tabulate a kernel function")
-    k.add_argument("--which", required=True, choices=["e1", "s", "p", "q"])
-    k.add_argument("--points", required=True,
-                   help="comma-separated evaluation points")
-    k.add_argument("--s", type=float, default=1.0,
-                   help="shape parameter for --which p")
-    k.add_argument("--out", default=None)
-    k.set_defaults(func=_cmd_kernel)
 
-    a = sub.add_parser("apply", help="apply a fractional operator")
-    a.add_argument("--op", required=True, choices=["j", "s", "d"])
-    a.add_argument("--side", required=True, choices=["left", "right"])
-    a.add_argument("--alpha", required=True, type=float)
-    a.add_argument("--spec", required=True, help="function spec, e.g. const:1")
-    a.add_argument("--interval", required=True, help="a,b")
-    a.add_argument("--n-out", required=True, type=int, dest="n_out")
-    a.add_argument("--out", default=None)
-    a.set_defaults(func=_cmd_apply)
+def _metavar(row) -> str:
+    _, dest, _, _, choices, _, _ = row
+    return "{" + ",".join(choices) + "}" if choices else dest.upper()
 
-    v = sub.add_parser("verify", help="run an identity verification suite")
-    v.add_argument("--suite", required=True,
-                   choices=["all", "integrals", "inversion", "derivatives",
-                            "laplace"])
-    v.add_argument("--alpha-list", default=None, dest="alpha_list")
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=_cmd_verify)
 
-    s = sub.add_parser("sweep", help="alpha sweep of L1 convergence distances")
-    s.add_argument("--spec", required=True)
-    s.add_argument("--alpha-list", required=True, dest="alpha_list")
-    s.add_argument("--side", default="left", choices=["left", "right"])
-    s.add_argument("--interval", default="0,1")
-    s.add_argument("--n", type=int, default=800)
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=_cmd_sweep)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: fracalc [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words = ["usage: fracalc", command, "[-h]"]
+    for row in _COMMANDS[command][2]:
+        word = f"{row[0]} {_metavar(row)}"
+        words.append(word if row[3] else f"[{word}]")
+    return " ".join(words)
 
-    r = sub.add_parser("relax", help="solve a fractional relaxation problem")
-    r.add_argument("--problem", required=True, help="problem JSON path")
-    r.add_argument("--u0", default="zero", help="zero | const:<c>")
-    r.add_argument("--out", default=None, help="solution CSV path")
-    r.add_argument("--diagnostics", default=None,
-                   help="diagnostics JSON path (stderr when omitted)")
-    r.set_defaults(func=_cmd_relax)
-    return ap
+
+def _help(command: str | None) -> str:
+    """The text of -h: usage, description and one entry per command or
+    option, its help from column 25 as argparse prints it."""
+    entries = [("-h, --help", "show this help and exit")]
+    if command is None:
+        about = _DESCRIPTION
+        sections = [("commands:", [(name, text) for name, (text, _, _)
+                                   in _COMMANDS.items()]),
+                    ("options:", entries)]
+    else:
+        about = _COMMANDS[command][0]
+        sections = [("options:", entries)]
+        for row in _COMMANDS[command][2]:
+            flag, _, _, required, _, default, text = row
+            notes = [text] if text else []
+            if required:
+                notes.append("(required)")
+            elif default is not None:
+                notes.append(f"(default: {default})")
+            entries.append((f"{flag} {_metavar(row)}", " ".join(notes)))
+    lines = [_usage(command), "", about]
+    for heading, rows in sections:
+        lines += ["", heading]
+        for left, text in rows:
+            if len(left) > 20:
+                lines += [f"  {left}", f"{'':24}{text}"]
+            else:
+                lines.append(f"  {left:<22}{text}")
+    if command is None:
+        lines += ["", "Run 'fracalc <command> -h' for the options of a "
+                      "command."]
+    return "\n".join(line.rstrip() for line in lines) + "\n"
+
+
+def _fail(command: str | None, message: str):
+    """A usage error, as argparse reports one: usage and message on
+    stderr, exit status 2."""
+    prog = f"fracalc {command}" if command else "fracalc"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help_exit(command: str | None, text: str | None):
+    """-h: the help on stdout, exit status 0.  A value given to it, as in
+    "--help=x", is a usage error."""
+    if text is not None:
+        _fail(command, f"argument -h/--help: ignored explicit argument "
+                       f"{text!r}")
+    sys.stdout.write(_help(command))
+    raise SystemExit(0)
+
+
+def _option(command: str | None, flags, token: str):
+    """How argparse reads token among the flags: None for a value, else
+    (flag, the value after "=" or None), flag None for an unknown option.
+    A flag is named in full or by a unique prefix; "-1" and ".5"-style
+    negative numbers and words with a space are values."""
+    if not token.startswith("-") or token in ("-", "--"):
+        return None
+    if token in flags:
+        return token, None
+    if token.startswith("--"):
+        name, eq, value = token.partition("=")
+        if eq and name in flags:
+            return name, value
+        matches = [f for f in flags if f.startswith(name)]
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {name} could match "
+                           f"{', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command line argv as the command's function, its name and one
+    attribute per option of its table; -h prints help and exits 0, an
+    argument error exits 2, as argparse would.  An option takes its value
+    as "--flag value" or "--flag=value", the last occurrence wins."""
+    unknown = []
+    for i, token in enumerate(argv):
+        option = _option(None, _HELP_FLAGS, token)
+        if option is None:
+            break
+        if option[0] is None:
+            unknown.append(token)
+        else:
+            _help_exit(None, option[1])
+    else:
+        _fail(None, "the following arguments are required: command")
+    command = argv[i]
+    if command not in _COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} (choose "
+                    f"from {', '.join(map(repr, _COMMANDS))})")
+    _, func, rows = _COMMANDS[command]
+    by_flag = {row[0]: row for row in rows}
+    flags = (*by_flag, *_HELP_FLAGS)
+    args = argv[i + 1:]
+    # classify every word first, as argparse does: an ambiguous prefix
+    # fails even after -h.  Every word after "--" is a value, and no
+    # option takes "--" or a word after it as its value.
+    end = args.index("--") if "--" in args else len(args)
+    options = [_option(command, flags, token) for token in args[:end]]
+    options += [None] * (len(args) - end)
+    values = {row[1]: row[5] for row in rows}
+    given = set()
+    k = 0
+    while k < len(args):
+        option = options[k]
+        k += 1
+        if option is None or option[0] is None:
+            unknown.append(args[k - 1])
+            continue
+        flag, text = option
+        if flag in _HELP_FLAGS:
+            _help_exit(command, text)
+        if text is None:
+            if k >= end or options[k] is not None:
+                _fail(command, f"argument {flag}: expected one argument")
+            text = args[k]
+            k += 1
+        _, dest, kind, _, choices, _, _ = by_flag[flag]
+        try:
+            value = kind(text)
+        except ValueError:
+            _fail(command, f"argument {flag}: invalid {kind.__name__} value: "
+                           f"{text!r}")
+        if choices and value not in choices:
+            _fail(command, f"argument {flag}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, choices))})")
+        values[dest] = value
+        given.add(flag)
+    missing = [row[0] for row in rows if row[3] and row[0] not in given]
+    if missing:
+        _fail(command, "the following arguments are required: "
+                       + ", ".join(missing))
+    if unknown:
+        _fail(None, "unrecognized arguments: " + " ".join(unknown))
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -82,8 +82,9 @@ class OperatorParams:
     acc: Accuracy = DEFAULT_ACCURACY
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(
+                f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def sign(self) -> float:
@@ -330,18 +331,26 @@ def _hat_weights(weights: Callable, dz: float, n: int,
 def _lattice_apply(g: GridFunction, p: OperatorParams, weights: Callable,
                    scale: float) -> np.ndarray:
     """scale times the integral (or derivative) at every node of g's own
-    lattice, where the cell terms depend only on the lag: the anchor's
-    value times the far weights plus one FFT product of the other values
-    with the hat weights, O(n log n) at every n."""
-    n = g.n
-    spectrum, far = _hat_weights(weights, g.spacing / p.alpha, n, p.acc)
-    v = g.values if p.side == Side.LEFT else g.values[::-1]
+    lattice, where the cell terms depend only on the lag: _lattice_product
+    with the operator's cached hat weights, O(n log n) at every n."""
+    spectrum, far = _hat_weights(weights, g.spacing / p.alpha, g.n, p.acc)
+    return _lattice_product(g.values, spectrum, far, scale, p.side)
+
+
+def _lattice_product(values: np.ndarray, spectrum: np.ndarray,
+                     far: np.ndarray, scale: float,
+                     side: Side = Side.LEFT) -> np.ndarray:
+    """scale times the lattice sum at every node: the anchor's value times
+    the far weights plus one FFT product of the other values with the hat
+    weights whose spectrum _hat_weights gave; 0 at the anchor."""
+    n = values.size - 1
+    v = values if side == Side.LEFT else values[::-1]
     size = _fft_size(n)
     out = np.zeros(n + 1)
     out[1:] = (np.fft.irfft(np.fft.rfft(v[1:], size) * spectrum, size)[:n]
                + v[0] * far)
     out = scale * out
-    return out if p.side == Side.LEFT else out[::-1]
+    return out if side == Side.LEFT else out[::-1]
 
 
 # Off the lattice, a point x splits [a, x] (left) or [x, b] (right) at the

@@ -12,8 +12,8 @@ still iterates but flags that the contraction guarantee is void.
 
 T is applied through exact product integration of the piecewise-linear
 iterate against the kernel moments (same machinery as the second-kind
-operator): after the first sweep the lattice's hat-weight spectrum is
-cached, and each sweep is one forward and one inverse real FFT, O(n log n).
+operator): each solve looks the lattice's hat-weight spectrum up once, and
+each sweep is one forward and one inverse real FFT, O(n log n).
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .funcspec import FunctionSpec, GridFunction, Interval, parse_spec, eval_spec_array
-from .operators import OperatorParams, Side, _lattice_apply, _s_weights
+from .operators import (OperatorParams, Side, _hat_weights, _lattice_apply,
+                        _lattice_product, _s_weights)
 from .special import Accuracy, DEFAULT_ACCURACY, s_cumulative
 
 TIME_DOMAIN = Interval(0.0, 1.0)
@@ -64,8 +65,9 @@ class RelaxationProblem:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(
+                f"alpha must be positive and finite, got {self.alpha}")
         if not self.lam > 0.0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if self.grid_n < 16:
@@ -158,18 +160,19 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
     kappa = contraction_constant(prob.alpha, prob.lam, prob.lipschitz_cf, acc)
     warning = kappa >= 1.0
     rhs = prob.rhs_at(u0.nodes())
+    # T's hat weights, looked up once: every sweep is one lattice product
+    spectrum, far = _hat_weights(_s_weights, u0.spacing / prob.alpha,
+                                 prob.grid_n, acc)
     u = u0.values.copy()
     sup_changes: list[float] = []
     converged = False
     smallest = math.inf  # smallest sup change of the sweeps before this one
     for _ in range(prob.max_iter):
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                h = GridFunction(TIME_DOMAIN,
-                                 -prob.lam * u + rhs(u))
-                u_next = apply_t(h, prob.alpha, acc).values
-            except ValueError:  # GridFunction: the iterate overflowed
+            h = -prob.lam * u + rhs(u)
+            if not np.isfinite(h).all():  # the iterate overflowed
                 break
+            u_next = _lattice_product(h, spectrum, far, prob.alpha)
             change = float(np.max(np.abs(u_next - u)))
         if not np.isfinite(change):
             break

@@ -438,6 +438,21 @@ _S_SATURATION = 40.0
 _S_ENTRIES = 2 ** 16
 
 
+# The v-rules below end at ln(50/z) for their smallest argument z.  Their
+# top rates 1 + e^v overflow from z below about 3e-307 on, and 50/z itself
+# from 2.8e-307; this floor keeps them finite with room to spare.
+_V_Z_MIN = 1e-300
+
+
+def _v_top(z: float, name: str) -> float:
+    """ln(50/z), where the v-rule of name's arguments from z on ends;
+    raises ValueError for z below _V_Z_MIN, or NaN."""
+    if not z >= _V_Z_MIN:
+        raise ValueError(f"{name} requires arguments >= {_V_Z_MIN:g}, "
+                         f"got {z:.6g}")
+    return math.log(50.0 / z)
+
+
 def _v_count(v_hi: float) -> int:
     """The number of trapezoid nodes on [_V_LO, v_hi]."""
     return int((max(v_hi, _V_LO) - _V_LO) / _V_STEP) + 2
@@ -667,8 +682,8 @@ def s_moments(lo, width, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray
     buf = np.empty(_S_ENTRIES)
     for cells in np.split(body, np.flatnonzero(np.diff(d[body])) + 1):
         cols = None  # on the first chunk's nodes, the most; then a prefix
-        for idx, v, w in _v_chunks(lo, cells, lambda l0: math.log(50.0 / l0),
-                                   acc):
+        for idx, v, w in _v_chunks(lo, cells,
+                                   lambda l0: _v_top(l0, "s_moments"), acc):
             a = 1.0 + np.exp(v)
             if cols is None:
                 b = d[idx[0]] * a
@@ -695,8 +710,9 @@ def e1_modes(z_min: float) -> tuple[np.ndarray, np.ndarray]:
     (the sum being the trapezoid rule of E1 = int sigma(v) e^(-z a) dv,
     a = 1 + e^v, c = h sigma(v)), on the nodes of the S rule from -40 to
     ln(50/z_min).  A fixed rule, like e1_array's: its node count follows
-    from z_min and counts against no work budget."""
-    v, _ = _v_grid(_v_count(math.log(50.0 / z_min)))
+    from z_min and counts against no work budget.  Raises ValueError for
+    z_min below 1e-300, where the top rates overflow."""
+    v, _ = _v_grid(_v_count(_v_top(z_min, "e1_modes")))
     return 1.0 + np.exp(v), _V_STEP * _sigma(v)
 
 
@@ -706,8 +722,8 @@ def s_modes(z_min: float,
     the mode a = 0, c = 1 first (S's constant 1), then the nodes of
     volterra_s_array's sum, a = 1 + e^v, c = h e^v/(v^2 + pi^2), on
     [-40, ln(50/z_min)].  Raises RuntimeError when that is more nodes than
-    acc.max_work."""
-    v, w = _v_nodes(math.log(50.0 / z_min), acc)
+    acc.max_work, and ValueError for z_min below 1e-300."""
+    v, w = _v_nodes(_v_top(z_min, "s_modes"), acc)
     ev = np.exp(v)
     return np.concatenate([[0.0], 1.0 + ev]), np.concatenate([[1.0], w * ev])
 
@@ -715,14 +731,20 @@ def s_modes(z_min: float,
 def exp_moments(a: np.ndarray, width: float, k: int) -> np.ndarray:
     """int_0^width y^j e^(-a y) dy, j = 0..k, for rates a >= 0 (a
     1-d array), as k + 1 rows: gamma(j + 1, a width)/a^(j + 1), and
-    width^(j + 1)/(j + 1) where a = 0.  Every term is positive."""
+    width^(j + 1)/(j + 1) where a = 0.  Every term is positive.  Raises
+    ValueError where a = 0 and width^(k + 1) overflows."""
     a = np.asarray(a, dtype=float)
     out = np.empty((k + 1, a.size))
     pos = a > 0.0
     ap = a[pos]
     for j, gamma in enumerate(_lower_gammas(ap * width, k)):
         out[j][pos] = gamma / ap ** (j + 1)
-        out[j][~pos] = width ** (j + 1) / (j + 1)
+        if ap.size < a.size:
+            try:
+                out[j][~pos] = width ** (j + 1) / (j + 1)
+            except OverflowError:
+                raise ValueError(f"exp_moments: width^{j + 1} overflows at "
+                                 f"width {width:g}") from None
     return out
 
 

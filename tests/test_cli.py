@@ -1,5 +1,7 @@
-"""Command-line interface: formats, exit codes, determinism, env override."""
+"""Command-line interface: formats, exit codes, determinism, env override,
+and the option table read against argparse."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -222,6 +224,28 @@ class TestApply:
         assert out == ""
         assert err.startswith("apply failed: ")
 
+    @pytest.mark.parametrize("route", ["grid-lattice", "grid-off", "const"])
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e300", "1e308", "inf"])
+    @pytest.mark.parametrize("op", ["j", "s", "d"])
+    def test_extreme_alpha_exits_0_or_2(self, op, alpha, route, tmp_path,
+                                        capsys):
+        # an overflow at the far ends of alpha used to escape as a
+        # traceback and exit status 1
+        (tmp_path / "g.csv").write_text("0,1\n0.5,2\n1,0.5\n")
+        spec = "const:1" if route == "const" else f"grid:{tmp_path / 'g.csv'}"
+        n_out = "3" if route == "grid-off" else "2"
+        code, out, err = run_main(
+            ["apply", "--op", op, "--side", "left", "--alpha", alpha,
+             "--spec", spec, "--interval", "0,1", "--n-out", n_out], capsys)
+        assert code in (0, 2)
+        if code == 0:
+            rows = [r.split(",") for r in out.splitlines()[1:]]
+            assert len(rows) == int(n_out) + 1
+            assert all(np.isfinite(float(r[1])) for r in rows)
+        else:
+            assert out == ""
+            assert "apply failed:" in err
+
 
 def _csv_text_by_format(header, columns):
     """The emitter's text by one str.format call per field, the form the
@@ -274,6 +298,14 @@ class TestVerify:
 
 
 class TestSweep:
+    def test_infinite_alpha_exits_2(self, capsys):
+        code, out, err = run_main(
+            ["sweep", "--spec", "sin:1", "--alpha-list", "0.5,inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sweep failed: alpha must be positive and "
+                              "finite")
+
     def test_distances_decrease(self, capsys):
         code, out, _ = run_main(
             ["sweep", "--spec", "sin:3", "--alpha-list", "0.2,0.1",
@@ -433,3 +465,210 @@ class TestOutFiles:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith("x,value")
+
+
+def _argparse_reference() -> argparse.ArgumentParser:
+    """The argparse parser the option table replaced, kept as the
+    reference reading of the same grammar."""
+    ap = argparse.ArgumentParser(
+        prog="fracalc",
+        description="fractional integral/derivative operators of the "
+                    "exponential-integral and Volterra kernels",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    k = sub.add_parser("kernel", help="tabulate a kernel function")
+    k.add_argument("--which", required=True, choices=["e1", "s", "p", "q"])
+    k.add_argument("--points", required=True,
+                   help="comma-separated evaluation points")
+    k.add_argument("--s", type=float, default=1.0,
+                   help="shape parameter for --which p")
+    k.add_argument("--out", default=None)
+    k.set_defaults(func=cli._cmd_kernel)
+
+    a = sub.add_parser("apply", help="apply a fractional operator")
+    a.add_argument("--op", required=True, choices=["j", "s", "d"])
+    a.add_argument("--side", required=True, choices=["left", "right"])
+    a.add_argument("--alpha", required=True, type=float)
+    a.add_argument("--spec", required=True, help="function spec, e.g. const:1")
+    a.add_argument("--interval", required=True, help="a,b")
+    a.add_argument("--n-out", required=True, type=int, dest="n_out")
+    a.add_argument("--out", default=None)
+    a.set_defaults(func=cli._cmd_apply)
+
+    v = sub.add_parser("verify", help="run an identity verification suite")
+    v.add_argument("--suite", required=True,
+                   choices=["all", "integrals", "inversion", "derivatives",
+                            "laplace"])
+    v.add_argument("--alpha-list", default=None, dest="alpha_list")
+    v.add_argument("--out", default=None)
+    v.set_defaults(func=cli._cmd_verify)
+
+    s = sub.add_parser("sweep", help="alpha sweep of L1 convergence distances")
+    s.add_argument("--spec", required=True)
+    s.add_argument("--alpha-list", required=True, dest="alpha_list")
+    s.add_argument("--side", default="left", choices=["left", "right"])
+    s.add_argument("--interval", default="0,1")
+    s.add_argument("--n", type=int, default=800)
+    s.add_argument("--out", default=None)
+    s.set_defaults(func=cli._cmd_sweep)
+
+    r = sub.add_parser("relax", help="solve a fractional relaxation problem")
+    r.add_argument("--problem", required=True, help="problem JSON path")
+    r.add_argument("--u0", default="zero", help="zero | const:<c>")
+    r.add_argument("--out", default=None, help="solution CSV path")
+    r.add_argument("--diagnostics", default=None,
+                   help="diagnostics JSON path (stderr when omitted)")
+    r.set_defaults(func=cli._cmd_relax)
+    return ap
+
+
+_APPLY = ["apply", "--op", "j", "--side", "left", "--alpha", "0.5",
+          "--spec", "sin:1", "--interval", "0,1", "--n-out", "64"]
+
+_VALID_ARGVS = [
+    # the README examples
+    ["kernel", "--which", "e1", "--points", "0.5,1,2"],
+    _APPLY,
+    ["verify", "--suite", "all"],
+    ["sweep", "--spec", "sin:3", "--alpha-list", "0.2,0.1,0.05"],
+    ["relax", "--problem", "scripts/sample_problem.json", "--out", "sol.csv",
+     "--diagnostics", "diag.json"],
+    # the benchmark's cold-CLI operations
+    ["apply", "--op", "s", "--side", "right", "--alpha", "0.07312480958110023",
+     "--spec", "grid:/data/grid-3.csv", "--interval", "0,1", "--n-out",
+     "1024", "--out", "/data/out-3.csv"],
+    ["apply", "--op", "d", "--side", "left", "--alpha", "0.9", "--spec",
+     "powshift-left:2", "--interval", "0,1", "--n-out", "17", "--out",
+     "/data/out-7.csv"],
+    ["verify", "--suite", "all", "--out", "/data/out-0.csv"],
+    # defaults
+    ["kernel", "--which", "p", "--points", "1"],
+    ["verify", "--suite", "laplace", "--alpha-list", "0.5,1"],
+    ["relax", "--problem", "p.json"],
+    ["relax", "--problem", "p.json", "--u0", "const:0.5"],
+    # the = form, empty values, the last occurrence winning
+    ["apply", "--op=j", "--side=left", "--alpha=0.5", "--spec=poly:1,=2",
+     "--interval=0,1", "--n-out=8", "--out="],
+    ["kernel", "--which", "e1", "--which", "s", "--points", "1", "--s=2",
+     "--s", "3"],
+    ["relax", "--problem", "", "--out", ""],
+    # unique prefixes, with and without =
+    ["apply", "--op", "j", "--si", "right", "--al", "1e-300", "--sp",
+     "const:1", "--i", "0,1", "--n", "8"],
+    ["apply", "--n=8", "--a=inf", "--sp=exp:-2", "--side", "left", "--op",
+     "d", "--in", "0,2"],
+    ["kernel", "--w=q", "--p", "1,2", "--ou", "k.csv"],
+    ["sweep", "--sp", "sin:1", "--alpha-l", "0.5", "--si", "right", "--n",
+     "16", "--i", "0,2"],
+    ["relax", "--pro", "p.json", "--d", "d.json", "--u", "zero"],
+    # values that start with "-": negative numbers and words with a space
+    ["kernel", "--which", "e1", "--points", "-1"],
+    ["kernel", "--which", "p", "--s", "-.5", "--points", "-2.5"],
+    ["sweep", "--spec", "-x y", "--alpha-list", "0.5", "--n", "-16"],
+    # numbers that float and int read: spaces, exponents, specials
+    ["apply", "--op", "s", "--side", "left", "--alpha", " 1e3 ", "--spec",
+     "const:1", "--interval", "0,1", "--n-out", " 8 "],
+    ["apply", "--op", "s", "--side", "left", "--alpha", "nan", "--spec",
+     "const:1", "--interval", "0,1", "--n-out", "1_000"],
+]
+
+_ERROR_ARGVS = [
+    [],
+    ["bogus"],
+    ["--"],
+    ["--bogus", "kernel", "--which", "e1", "--points", "1"],
+    ["--help=x"],
+    ["apply"],
+    ["apply", "--op", "j"],
+    ["verify", "--suite", "everything"],
+    ["apply", "--op", "x"] + _APPLY[3:],
+    _APPLY[:6] + ["--alpha", "x"] + _APPLY[8:],
+    _APPLY[:-2] + ["--n-out", "1.5"],
+    _APPLY[:-2] + ["--n-out", ""],
+    _APPLY + ["--o", "out.csv"],
+    _APPLY + ["--out"],
+    ["kernel", "--out", "--which", "e1", "--points", "1"],
+    ["kernel", "--which", "e1", "--points", "1", "--bogus", "2"],
+    ["kernel", "--which", "e1", "--points", "1", "extra"],
+    ["kernel", "--which", "e1", "--points", "1", "--"],
+    ["kernel", "--which", "e1", "--points", "1", "-x"],
+    ["kernel", "--which", "e1", "--points", "-1,2"],
+    ["kernel", "--which", "e1", "--points", "1", "--out", "--"],
+    ["kernel", "--which", "e1", "--points", "1", "--", "--out", "k.csv"],
+    ["relax", "--", "-h"],
+    ["kernel", "-hfoo"],
+    ["kernel", "--help=x"],
+    ["apply", "-h", "--o"],
+    ["sweep", "--s=sin:1", "--alpha-list", "0.5"],
+]
+
+_HELP_ARGVS = [
+    ["-h"], ["--help"], ["--he"], ["--bogus", "-h"], ["-h", "bogus"],
+    ["kernel", "-h"], ["apply", "--h"], ["verify", "--help"],
+    ["sweep", "--he"], ["relax", "-h"], ["apply", "--bogus", "-h"],
+    ["--bogus", "relax", "-h"], ["kernel", "--which", "e1", "-h"],
+]
+
+
+def _outcome(parse, argv, capsys):
+    """What parse makes of argv: the namespace's attributes, or the exit
+    status with what went to stdout."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().out
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=" ".join)
+    def test_values_match_argparse(self, argv, capsys):
+        got = _outcome(cli.parse_args, argv, capsys)
+        want = _outcome(_argparse_reference().parse_args, argv, capsys)
+        assert isinstance(want, dict)
+        # by text, as nan != nan: "--alpha nan" reads the same in both
+        assert repr(sorted(got.items())) == repr(sorted(want.items()))
+
+    @pytest.mark.parametrize("argv", _ERROR_ARGVS, ids=" ".join)
+    def test_errors_exit_2_as_argparse_does(self, argv, capsys):
+        want = _outcome(_argparse_reference().parse_args, argv, capsys)
+        assert want == (2, "")
+        assert _outcome(cli.parse_args, argv, capsys) == (2, "")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: fracalc")
+        assert "error: " in err
+
+    @pytest.mark.parametrize("argv", _HELP_ARGVS, ids=" ".join)
+    def test_help_exits_0_and_names_every_choice(self, argv, capsys):
+        assert _outcome(_argparse_reference().parse_args, argv, capsys)[0] == 0
+        code, out = _outcome(cli.parse_args, argv, capsys)
+        assert code == 0
+        command = next((w for w in argv if w in cli._COMMANDS), None)
+        if command is None:
+            names = list(cli._COMMANDS)
+        else:
+            names = [row[0] for row in cli._COMMANDS[command][2]]
+        assert out.startswith(f"usage: fracalc {command or '[-h]'}")
+        assert all(name in out for name in names + ["-h, --help"])
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["fracalc", "kernel", "--which",
+                                          "e1", "--points", "1"])
+        assert main() == 0
+        assert capsys.readouterr().out == "x,value\n1,0.21938393439552\n"
+
+    def test_cli_imports_no_argparse(self):
+        # argparse's import, and the locale and gettext lookups it makes,
+        # were a quarter of a cold apply
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fracalc.cli; fracalc.cli.main(['kernel', '--which',"
+             " 'e1', '--points', '1']); print(sorted({'argparse', 'gettext',"
+             " 'locale'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=_child_env("100000"))
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "[]"
