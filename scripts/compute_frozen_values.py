@@ -6,16 +6,20 @@ Run from the repository root:
     python3 scripts/compute_frozen_values.py
 
 Output is a plain listing; the numbers are pasted into tests as literals.
-This script touches only the oracle module (plus closed forms rebuilt
-locally from oracle primitives), never the main evaluators, so the frozen
-values stay independent of the code they later judge.
+This script touches only the oracle module, tests/oracle.py (plus closed
+forms rebuilt locally from oracle primitives), never the main evaluators,
+so the frozen values stay independent of the code they later judge.
 """
 
 import math
+import sys
 import time
+from pathlib import Path
 
-from fracalc import oracle
-from fracalc.oracle import OracleConfig
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+import oracle  # noqa: E402
+from oracle import OracleConfig  # noqa: E402
 
 
 def stamp(label: str, value: float, t0: float) -> None:

@@ -12,6 +12,12 @@ Subcommands:
   relax   — solve a relaxation problem from a JSON document (CSV t,u plus
             a diagnostics JSON)
 
+Each command's options are rows of the table _COMMANDS, and argparse's
+parser is built from it, so the grammar, -h and the usage errors are
+argparse's.  A line of full flags with plain values, the form every
+example and script uses, has one reading and is read from the table
+without importing argparse.
+
 Exit codes: 0 success, 2 argument/validation errors, 3 failed checks.
 Numbers are printed with 15 significant digits; output is deterministic.
 The environment variable FRACALC_MAX_WORK overrides the default work
@@ -25,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -65,7 +70,6 @@ from .special import (
 )
 
 _FMT = "{:.15g}"
-_OUT_HELP = "output CSV path (stdout when omitted)"
 
 
 def default_accuracy() -> Accuracy:
@@ -255,218 +259,103 @@ def _cmd_relax(args: SimpleNamespace) -> int:
 
 # The options of each command, one row per option:
 #     (flag, dest, type, required, choices, default, help).
-# parse_args reads these rows, and -h prints them.
+# parse_args reads a line of full flags from these rows itself, and
+# _argparse builds the argparse parser of the same grammar from them.
 _COMMANDS = {
     "kernel": ("tabulate a kernel function", _cmd_kernel, (
-        ("--which", "which", str, True, ("e1", "s", "p", "q"), None,
-         "kernel function"),
+        ("--which", "which", str, True, ("e1", "s", "p", "q"), None, None),
         ("--points", "points", str, True, None, None,
          "comma-separated evaluation points"),
         ("--s", "s", float, False, None, 1.0, "shape parameter for --which p"),
-        ("--out", "out", str, False, None, None, _OUT_HELP),
+        ("--out", "out", str, False, None, None, None),
     )),
     "apply": ("apply a fractional operator", _cmd_apply, (
-        ("--op", "op", str, True, ("j", "s", "d"), None,
-         "first-kind integral, second-kind integral or derivative"),
+        ("--op", "op", str, True, ("j", "s", "d"), None, None),
         ("--side", "side", str, True, ("left", "right"), None, None),
-        ("--alpha", "alpha", float, True, None, None, "kernel scale, > 0"),
+        ("--alpha", "alpha", float, True, None, None, None),
         ("--spec", "spec", str, True, None, None,
          "function spec, e.g. const:1"),
         ("--interval", "interval", str, True, None, None, "a,b"),
-        ("--n-out", "n_out", int, True, None, None,
-         "number of output intervals"),
-        ("--out", "out", str, False, None, None, _OUT_HELP),
+        ("--n-out", "n_out", int, True, None, None, None),
+        ("--out", "out", str, False, None, None, None),
     )),
     "verify": ("run an identity verification suite", _cmd_verify, (
         ("--suite", "suite", str, True,
          ("all", "integrals", "inversion", "derivatives", "laplace"), None,
          None),
-        ("--alpha-list", "alpha_list", str, False, None, None,
-         "comma-separated alphas (the suite's own when omitted)"),
-        ("--out", "out", str, False, None, None, _OUT_HELP),
+        ("--alpha-list", "alpha_list", str, False, None, None, None),
+        ("--out", "out", str, False, None, None, None),
     )),
     "sweep": ("alpha sweep of L1 convergence distances", _cmd_sweep, (
-        ("--spec", "spec", str, True, None, None,
-         "function spec, e.g. sin:3"),
-        ("--alpha-list", "alpha_list", str, True, None, None,
-         "comma-separated alphas"),
+        ("--spec", "spec", str, True, None, None, None),
+        ("--alpha-list", "alpha_list", str, True, None, None, None),
         ("--side", "side", str, False, ("left", "right"), "left", None),
-        ("--interval", "interval", str, False, None, "0,1", "a,b"),
-        ("--n", "n", int, False, None, 800, "grid intervals"),
-        ("--out", "out", str, False, None, None, _OUT_HELP),
+        ("--interval", "interval", str, False, None, "0,1", None),
+        ("--n", "n", int, False, None, 800, None),
+        ("--out", "out", str, False, None, None, None),
     )),
     "relax": ("solve a fractional relaxation problem", _cmd_relax, (
         ("--problem", "problem", str, True, None, None, "problem JSON path"),
         ("--u0", "u0", str, False, None, "zero", "zero | const:<c>"),
-        ("--out", "out", str, False, None, None,
-         "solution CSV path (stdout when omitted)"),
+        ("--out", "out", str, False, None, None, "solution CSV path"),
         ("--diagnostics", "diagnostics", str, False, None, None,
          "diagnostics JSON path (stderr when omitted)"),
     )),
 }
 _DESCRIPTION = ("fractional integral/derivative operators of the "
                 "exponential-integral and Volterra kernels")
-_HELP_FLAGS = ("-h", "--help")
 
 
-def _metavar(row) -> str:
-    _, dest, _, _, choices, _, _ = row
-    return "{" + ",".join(choices) + "}" if choices else dest.upper()
+def _argparse(argv: list[str]):
+    """argv read by the argparse parser of _COMMANDS.  argparse is
+    imported here: its import and the locale lookups of its messages cost
+    a cold process more than a whole command line read by parse_args."""
+    import argparse
+
+    ap = argparse.ArgumentParser(prog="fracalc", description=_DESCRIPTION)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, (text, func, rows) in _COMMANDS.items():
+        parser = sub.add_parser(command, help=text)
+        for flag, dest, kind, required, choices, default, help_ in rows:
+            parser.add_argument(flag, dest=dest, type=kind, required=required,
+                                choices=choices, default=default, help=help_)
+        parser.set_defaults(func=func)
+    return ap.parse_args(argv)
 
 
-def _usage(command: str | None) -> str:
-    if command is None:
-        return "usage: fracalc [-h] {" + ",".join(_COMMANDS) + "} ..."
-    words = ["usage: fracalc", command, "[-h]"]
-    for row in _COMMANDS[command][2]:
-        word = f"{row[0]} {_metavar(row)}"
-        words.append(word if row[3] else f"[{word}]")
-    return " ".join(words)
-
-
-def _help(command: str | None) -> str:
-    """The text of -h: usage, description and one entry per command or
-    option, its help from column 25 as argparse prints it."""
-    entries = [("-h, --help", "show this help and exit")]
-    if command is None:
-        about = _DESCRIPTION
-        sections = [("commands:", [(name, text) for name, (text, _, _)
-                                   in _COMMANDS.items()]),
-                    ("options:", entries)]
-    else:
-        about = _COMMANDS[command][0]
-        sections = [("options:", entries)]
-        for row in _COMMANDS[command][2]:
-            flag, _, _, required, _, default, text = row
-            notes = [text] if text else []
-            if required:
-                notes.append("(required)")
-            elif default is not None:
-                notes.append(f"(default: {default})")
-            entries.append((f"{flag} {_metavar(row)}", " ".join(notes)))
-    lines = [_usage(command), "", about]
-    for heading, rows in sections:
-        lines += ["", heading]
-        for left, text in rows:
-            if len(left) > 20:
-                lines += [f"  {left}", f"{'':24}{text}"]
-            else:
-                lines.append(f"  {left:<22}{text}")
-    if command is None:
-        lines += ["", "Run 'fracalc <command> -h' for the options of a "
-                      "command."]
-    return "\n".join(line.rstrip() for line in lines) + "\n"
-
-
-def _fail(command: str | None, message: str):
-    """A usage error, as argparse reports one: usage and message on
-    stderr, exit status 2."""
-    prog = f"fracalc {command}" if command else "fracalc"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _help_exit(command: str | None, text: str | None):
-    """-h: the help on stdout, exit status 0.  A value given to it, as in
-    "--help=x", is a usage error."""
-    if text is not None:
-        _fail(command, f"argument -h/--help: ignored explicit argument "
-                       f"{text!r}")
-    sys.stdout.write(_help(command))
-    raise SystemExit(0)
-
-
-def _option(command: str | None, flags, token: str):
-    """How argparse reads token among the flags: None for a value, else
-    (flag, the value after "=" or None), flag None for an unknown option.
-    A flag is named in full or by a unique prefix; "-1" and ".5"-style
-    negative numbers and words with a space are values."""
-    if not token.startswith("-") or token in ("-", "--"):
-        return None
-    if token in flags:
-        return token, None
-    if token.startswith("--"):
-        name, eq, value = token.partition("=")
-        if eq and name in flags:
-            return name, value
-        matches = [f for f in flags if f.startswith(name)]
-        if len(matches) > 1:
-            _fail(command, f"ambiguous option: {name} could match "
-                           f"{', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    elif token.startswith("-h"):
-        return "-h", token[2:]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, None
-
-
-def parse_args(argv: list[str]) -> SimpleNamespace:
+def parse_args(argv: list[str]):
     """The command line argv as the command's function, its name and one
-    attribute per option of its table; -h prints help and exits 0, an
-    argument error exits 2, as argparse would.  An option takes its value
-    as "--flag value" or "--flag=value", the last occurrence wins."""
-    unknown = []
-    for i, token in enumerate(argv):
-        option = _option(None, _HELP_FLAGS, token)
-        if option is None:
-            break
-        if option[0] is None:
-            unknown.append(token)
+    attribute per option of its table, as argparse reads it.
+
+    A line argparse can read only one way is read here: a command, then
+    its own flags in full as "--flag value" or "--flag=value", no value
+    starting with "-", every value of its option's type and among its
+    choices, every required flag given, the last occurrence winning.
+    argparse reads every other line (prefixes, "--", negative numbers),
+    prints -h (exit 0) and reports usage errors (exit 2)."""
+    if argv and argv[0] in _COMMANDS:
+        _, func, rows = _COMMANDS[argv[0]]
+        by_flag = {row[0]: row for row in rows}
+        values = {row[1]: row[5] for row in rows}
+        given = set()
+        words = iter(argv[1:])
+        for word in words:
+            flag, eq, text = word.partition("=")
+            text = text if eq else next(words, "-")
+            if flag not in by_flag or text.startswith("-"):
+                break
+            _, dest, kind, _, choices, _, _ = by_flag[flag]
+            try:
+                values[dest] = kind(text)
+            except ValueError:
+                break
+            if choices and values[dest] not in choices:
+                break
+            given.add(flag)
         else:
-            _help_exit(None, option[1])
-    else:
-        _fail(None, "the following arguments are required: command")
-    command = argv[i]
-    if command not in _COMMANDS:
-        _fail(None, f"argument command: invalid choice: {command!r} (choose "
-                    f"from {', '.join(map(repr, _COMMANDS))})")
-    _, func, rows = _COMMANDS[command]
-    by_flag = {row[0]: row for row in rows}
-    flags = (*by_flag, *_HELP_FLAGS)
-    args = argv[i + 1:]
-    # classify every word first, as argparse does: an ambiguous prefix
-    # fails even after -h.  Every word after "--" is a value, and no
-    # option takes "--" or a word after it as its value.
-    end = args.index("--") if "--" in args else len(args)
-    options = [_option(command, flags, token) for token in args[:end]]
-    options += [None] * (len(args) - end)
-    values = {row[1]: row[5] for row in rows}
-    given = set()
-    k = 0
-    while k < len(args):
-        option = options[k]
-        k += 1
-        if option is None or option[0] is None:
-            unknown.append(args[k - 1])
-            continue
-        flag, text = option
-        if flag in _HELP_FLAGS:
-            _help_exit(command, text)
-        if text is None:
-            if k >= end or options[k] is not None:
-                _fail(command, f"argument {flag}: expected one argument")
-            text = args[k]
-            k += 1
-        _, dest, kind, _, choices, _, _ = by_flag[flag]
-        try:
-            value = kind(text)
-        except ValueError:
-            _fail(command, f"argument {flag}: invalid {kind.__name__} value: "
-                           f"{text!r}")
-        if choices and value not in choices:
-            _fail(command, f"argument {flag}: invalid choice: {value!r} "
-                           f"(choose from {', '.join(map(repr, choices))})")
-        values[dest] = value
-        given.add(flag)
-    missing = [row[0] for row in rows if row[3] and row[0] not in given]
-    if missing:
-        _fail(command, "the following arguments are required: "
-                       + ", ".join(missing))
-    if unknown:
-        _fail(None, "unrecognized arguments: " + " ".join(unknown))
-    return SimpleNamespace(command=command, func=func, **values)
+            if all(row[0] in given for row in rows if row[3]):
+                return SimpleNamespace(command=argv[0], func=func, **values)
+    return _argparse(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -146,15 +146,39 @@ def _scatter(on: np.ndarray, res: QuadResult,
     return vals, conv, errs
 
 
+# E1's mass past z = 64 is below 1e-29.  A J integral out to Z > 64 runs
+# as two in one batch, over [0, 64] and [64, Z]: over all of [0, Z] the
+# graded seed panels are wider than E1's mass once Z is large (Z = 1e16
+# at alpha 1e-16), miss it and return 0, flagged converged.
+_E1_SPLIT = 64.0
+
+
 def _j_analytic(f: FunctionSpec, p: OperatorParams,
                 xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Z = p.reduced(xs)
     on = Z > 0.0
-    x = xs[on]
+    z = Z[on]
+    n = z.size
+    tail = np.nonzero(z > _E1_SPLIT)[0]
+    owner = np.concatenate([np.arange(n), tail])
+    x = xs[on][owner]
+    # the log at z = 0 stays with the head, f's end singularity with Z
+    marker = _marker(f, p)
+    far = (Singularity.LOG_RIGHT if marker == Singularity.LOG_BOTH
+           else Singularity.NONE)
+    markers = ([Singularity.LOG_LEFT if v > _E1_SPLIT else marker
+                for v in z.tolist()] + [far] * tail.size)
     res = integrate_batch(
-        lambda z, owner: e1_array(_clip_pos(z)) * _f_along(f, p, x[owner], z),
-        0.0, Z[on], _marker(f, p), p.acc)
-    return _scatter(on, res, 1.0)
+        lambda t, i: e1_array(_clip_pos(t)) * _f_along(f, p, x[i], t),
+        np.concatenate([np.zeros(n), np.full(tail.size, _E1_SPLIT)]),
+        np.concatenate([np.minimum(z, _E1_SPLIT), z[tail]]), markers, p.acc)
+    head = QuadResult(res.value[:n], res.err_estimate[:n],
+                      res.panels_used[:n], res.converged[:n])
+    head.value[tail] += res.value[n:]
+    head.err_estimate[tail] += res.err_estimate[n:]
+    head.panels_used[tail] += res.panels_used[n:]
+    head.converged[tail] &= res.converged[n:]
+    return _scatter(on, head, 1.0)
 
 
 # Width in z of the S head.  Past alpha = width it shrinks by width/alpha,
@@ -315,6 +339,9 @@ def _hat_weights(weights: Callable, dz: float, n: int,
             _hat_cache.move_to_end(key)
             return hit
     w, far = weights(dz, n, acc)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(far))):
+        raise ValueError(f"hat weights are not finite at lattice step "
+                         f"{dz:.6g} in the reduced coordinate")
     spectrum = np.fft.rfft(w, _fft_size(n))
     spectrum.setflags(write=False)
     far.setflags(write=False)

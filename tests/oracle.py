@@ -221,7 +221,7 @@ def _recip_log_segment(t0: float, t1: float, cfg: OracleConfig,
 def oracle_q(X: float, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
     """Cumulative S-mass int_0^X S by assembling the deep asymptotic, a
     reciprocal-log segment through the singular decades, and plain
-    Simpson where S is tame.  Independent of the smooth P-route."""
+    Simpson where S is tame."""
     if not X > 0.0:
         raise ValueError(f"oracle_q requires X > 0, got {X}")
     d0 = 1e-250

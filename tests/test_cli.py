@@ -2,13 +2,16 @@
 and the option table read against argparse."""
 
 import argparse
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fracalc
 from fracalc import cli
@@ -403,6 +406,20 @@ class TestRelax:
         assert code == 2
         assert "/nope/p.json" in err
 
+    def test_tiny_alpha_exits_2(self, tmp_path, capsys):
+        # S's hat weights are NaN at alpha 1e-300: the solve used to exit
+        # 0 with u = 0, no iteration and "converged": false
+        prob = {"alpha": 1e-300, "lambda": 0.5,
+                "rhs": {"type": "autonomous", "g": "sin:1"}, "grid_n": 16}
+        ppath = tmp_path / "p.json"
+        ppath.write_text(json.dumps(prob))
+        with np.errstate(all="ignore"):
+            code, out, err = run_main(["relax", "--problem", str(ppath)],
+                                      capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("relax failed: ")
+
 
 def _child_env(max_work: str) -> dict[str, str]:
     # Minimal env, so no FRACALC_* variable of the caller leaks in; the
@@ -620,6 +637,76 @@ def _outcome(parse, argv, capsys):
         return exc.code, capsys.readouterr().out
 
 
+# The words the property test draws lines from: every flag of every
+# command, prefixes, values of each kind (choices, numbers, negative
+# numbers, words with a space, "--", -h forms) and stray words.
+_FLAGS_OF = {
+    "kernel": ["--which", "--points", "--s", "--out"],
+    "apply": ["--op", "--side", "--alpha", "--spec", "--interval", "--n-out",
+              "--out"],
+    "verify": ["--suite", "--alpha-list", "--out"],
+    "sweep": ["--spec", "--alpha-list", "--side", "--interval", "--n",
+              "--out"],
+    "relax": ["--problem", "--u0", "--out", "--diagnostics"],
+}
+_FLAG_WORDS = sorted({f for flags in _FLAGS_OF.values() for f in flags}) + [
+    "--w", "--p", "--o", "--si", "--al", "--alpha", "--sp", "--i", "--n-",
+    "--su", "--pr", "--u", "--d", "--he", "--bogus", "-h", "--help"]
+_VALUE_WORDS = [
+    "e1", "s", "p", "q", "j", "d", "left", "right", "all", "laplace", "0.5",
+    "1e-3", "8", " 8 ", "1_000", "1.5", "nan", "inf", "x", "", "0,1",
+    "const:1", "sin:1", "-1", "-.5", "-1,2", "-x y", "--", "-h", "-hfoo",
+    "extra", "kernel", "apply"]
+
+
+# Values each flag accepts, so that many drawn lines are complete
+_GOOD = {
+    "--which": ["e1", "s", "p", "q"], "--points": ["1", "0.5,1,2"],
+    "--s": ["2", "1e-3"], "--out": ["o.csv", ""], "--op": ["j", "s", "d"],
+    "--side": ["left", "right"], "--alpha": ["0.5", "1e-300", "nan"],
+    "--spec": ["const:1", "sin:3"], "--interval": ["0,1", "0,2"],
+    "--n-out": ["8", " 8 ", "1_000"], "--suite": ["all", "laplace"],
+    "--alpha-list": ["0.5,1"], "--n": ["16"], "--problem": ["p.json"],
+    "--u0": ["zero", "const:0.5"], "--diagnostics": ["d.json"],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A command line: a command with its own flags in full, each given
+    0-2 times as "--flag value" or "--flag=value", mostly with a value it
+    accepts; or a command or a stray first word, then any words."""
+    commands = list(_FLAGS_OF)
+    if draw(st.booleans()):
+        command = draw(st.sampled_from(commands))
+        words = [command]
+        for flag in draw(st.permutations(_FLAGS_OF[command])):
+            for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))):
+                pool = _GOOD[flag] if draw(st.integers(0, 7)) else _VALUE_WORDS
+                value = draw(st.sampled_from(pool))
+                joined = draw(st.booleans())
+                words += [f"{flag}={value}"] if joined else [flag, value]
+        return words
+    first = draw(st.sampled_from(commands + ["bogus", "-h", "--help", "--",
+                                             "--bogus"]))
+    word = st.one_of(
+        st.sampled_from(_FLAG_WORDS), st.sampled_from(_VALUE_WORDS),
+        st.builds("{}={}".format, st.sampled_from(_FLAG_WORDS),
+                  st.sampled_from(_VALUE_WORDS)))
+    return [first] + draw(st.lists(word, max_size=10))
+
+
+def _full_outcome(parse, argv):
+    """The namespace parse makes of argv, by text (nan != nan), or its exit
+    status with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return repr(sorted(vars(parse(argv)).items()))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
 class TestOptionTable:
     @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=" ".join)
     def test_values_match_argparse(self, argv, capsys):
@@ -654,6 +741,15 @@ class TestOptionTable:
             names = [row[0] for row in cli._COMMANDS[command][2]]
         assert out.startswith(f"usage: fracalc {command or '[-h]'}")
         assert all(name in out for name in names + ["-h, --help"])
+
+    @given(_argvs())
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_line_reads_as_argparse_reads_it(self, monkeypatch, argv):
+        # argparse wraps usage and help to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        assert (_full_outcome(cli.parse_args, argv)
+                == _full_outcome(_argparse_reference().parse_args, argv))
 
     def test_main_reads_sys_argv(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["fracalc", "kernel", "--which",

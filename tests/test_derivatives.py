@@ -108,6 +108,16 @@ class TestAcRepresentation:
         assert norms[2] / norms[1] <= 0.9
 
 
+    def test_tiny_alpha_gives_the_classical_derivative(self):
+        # D runs through J's adaptive batch, which returned 0 at alpha
+        # 1e-16 where D sin -> cos
+        ac = AcFunction.from_catalog(Sin(1.0), UNIT, Side.LEFT)
+        rep = d_frac_ac(ac, left(1e-16), 4)
+        assert np.all(rep.per_point_converged)
+        assert np.max(np.abs(rep.outputs.values
+                             - np.cos(rep.outputs.nodes()))) < 1e-9
+
+
 class TestNumericRoute:
     def test_matches_kernel_term_for_constant(self):
         p = left(0.4)

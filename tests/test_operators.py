@@ -180,6 +180,18 @@ class TestApplyJ:
         assert conv[0]
         assert vals[0] == pytest.approx(ORACLE_J_CONST_R1, abs=1e-8)
 
+    @pytest.mark.parametrize("alpha", [1e-16, 1e-300])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_tiny_alpha_gives_the_input(self, side, alpha):
+        # J f -> f as alpha -> 0; over all of [0, Z = 1e16] the seed
+        # panels missed E1's mass and returned 0, flagged converged
+        vals, conv, errs = apply_j_at(Const(1.0),
+                                      OperatorParams(side, alpha, UNIT),
+                                      np.array([0.25, 0.5, 0.75]))
+        assert np.all(conv)
+        assert np.max(np.abs(vals - 1.0)) < 1e-9
+        assert np.max(errs) < 1e-9
+
     def test_zero_at_base_point(self):
         rep = apply_j(Const(5.0), left(0.3), 8)
         assert rep.outputs.values[0] == 0.0
@@ -677,7 +689,7 @@ class TestSemigroupFailure:
 
 class TestOracleCrossValidation:
     def test_apply_j_matches_oracle_on_sine(self):
-        from fracalc.oracle import oracle_operator
+        from oracle import oracle_operator
         p = left(0.5)
         xs = np.linspace(0.2, 1.0, 5)
         vals, _, _ = apply_j_at(Sin(1.0), p, xs)

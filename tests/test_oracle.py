@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fracalc.oracle import (
+from oracle import (
     OracleConfig,
     oracle_convolution,
     oracle_e1,
