@@ -301,8 +301,9 @@ def _s_weights(dz: float, n: int,
     """S's weights, from its cell moments about 0 (the alpha factor is the
     apply's scale)."""
     m0, m1 = s_moments(dz * np.arange(n), dz, 1, acc)
-    near = (dz * np.arange(1, n + 1) * m0 - m1) / dz
-    return _hat(near, m0 - near)
+    with np.errstate(over="ignore", invalid="ignore"):  # _hat_weights checks
+        near = (dz * np.arange(1, n + 1) * m0 - m1) / dz
+        return _hat(near, m0 - near)
 
 
 def _d_weights(dz: float, n: int,

@@ -693,11 +693,13 @@ def s_moments(lo, width, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray
             g[:, idx] = (np.exp(e, out=e) @ cols[:v.size]).T
     out = np.empty((k + 1, lo.size))
     out[0] = (d + 0.5 * head) + g[0]  # a head's 1/2 first, as in Q
-    if k >= 1:
-        out[1] = d * (lo + 0.5 * d) + (lo * g[0] + g[1])
-    if k == 2:
-        out[2] = (d * (lo * (lo + d) + d * d / 3.0)
-                  + (lo * (lo * g[0] + 2.0 * g[1]) + g[2]))
+    # a moment past 1e308 is inf, for the caller's finiteness check
+    with np.errstate(over="ignore"):
+        if k >= 1:
+            out[1] = d * (lo + 0.5 * d) + (lo * g[0] + g[1])
+        if k == 2:
+            out[2] = (d * (lo * (lo + d) + d * d / 3.0)
+                      + (lo * (lo * g[0] + 2.0 * g[1]) + g[2]))
     return out.reshape((k + 1,) + shape)
 
 
@@ -738,10 +740,11 @@ def exp_moments(a: np.ndarray, width: float, k: int) -> np.ndarray:
     pos = a > 0.0
     ap = a[pos]
     for j, gamma in enumerate(_lower_gammas(ap * width, k)):
-        out[j][pos] = gamma / ap ** (j + 1)
+        with np.errstate(over="ignore"):  # a^(j + 1) = inf: the term is 0
+            out[j][pos] = gamma / ap ** (j + 1)
         if ap.size < a.size:
-            try:
-                out[j][~pos] = width ** (j + 1) / (j + 1)
+            try:  # a float's power raises where numpy's only warns
+                out[j][~pos] = float(width) ** (j + 1) / (j + 1)
             except OverflowError:
                 raise ValueError(f"exp_moments: width^{j + 1} overflows at "
                                  f"width {width:g}") from None
@@ -781,10 +784,13 @@ def s_weighted_batch(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      np.tile(np.arange(m), 3)).reshape(3, m)
     heads, inverse = np.unique(delta, return_inverse=True)
     q_head, m1_head, m2_head = s_moments(0.0, heads, 2, acc)[:, inverse]
-    curv = 2.0 * (g0 - 2.0 * gm + gd) / (delta * delta)
-    slope = (gd - g0) / delta - curv * delta
-    value = g0 * q_head + slope * m1_head + curv * m2_head
-    err = np.abs(curv) * (delta * m1_head - m2_head)
+    # delta^2 underflows for delta < 1e-154: NaN, which the body's
+    # domain check or the caller's finiteness check rejects
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        curv = 2.0 * (g0 - 2.0 * gm + gd) / (delta * delta)
+        slope = (gd - g0) / delta - curv * delta
+        value = g0 * q_head + slope * m1_head + curv * m2_head
+        err = np.abs(curv) * (delta * m1_head - m2_head)
     panels, conv = np.zeros(m, dtype=int), np.ones(m, dtype=bool)
     body = np.nonzero(b > delta)[0]
     res = integrate_batch(

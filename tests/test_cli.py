@@ -231,23 +231,27 @@ class TestApply:
     @pytest.mark.parametrize("alpha", ["1e-300", "1e300", "1e308", "inf"])
     @pytest.mark.parametrize("op", ["j", "s", "d"])
     def test_extreme_alpha_exits_0_or_2(self, op, alpha, route, tmp_path,
-                                        capsys):
+                                        capsys, recwarn):
         # an overflow at the far ends of alpha used to escape as a
-        # traceback and exit status 1
+        # traceback and exit status 1, and numpy's RuntimeWarnings to
+        # reach stderr ahead of the one "apply failed" line
         (tmp_path / "g.csv").write_text("0,1\n0.5,2\n1,0.5\n")
         spec = "const:1" if route == "const" else f"grid:{tmp_path / 'g.csv'}"
         n_out = "3" if route == "grid-off" else "2"
         code, out, err = run_main(
             ["apply", "--op", op, "--side", "left", "--alpha", alpha,
              "--spec", spec, "--interval", "0,1", "--n-out", n_out], capsys)
+        assert [str(w.message) for w in recwarn] == []
         assert code in (0, 2)
         if code == 0:
+            assert err == ""
             rows = [r.split(",") for r in out.splitlines()[1:]]
             assert len(rows) == int(n_out) + 1
             assert all(np.isfinite(float(r[1])) for r in rows)
         else:
             assert out == ""
-            assert "apply failed:" in err
+            assert err.startswith("apply failed: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def _csv_text_by_format(header, columns):
@@ -406,19 +410,19 @@ class TestRelax:
         assert code == 2
         assert "/nope/p.json" in err
 
-    def test_tiny_alpha_exits_2(self, tmp_path, capsys):
+    def test_tiny_alpha_exits_2(self, tmp_path, capsys, recwarn):
         # S's hat weights are NaN at alpha 1e-300: the solve used to exit
         # 0 with u = 0, no iteration and "converged": false
         prob = {"alpha": 1e-300, "lambda": 0.5,
                 "rhs": {"type": "autonomous", "g": "sin:1"}, "grid_n": 16}
         ppath = tmp_path / "p.json"
         ppath.write_text(json.dumps(prob))
-        with np.errstate(all="ignore"):
-            code, out, err = run_main(["relax", "--problem", str(ppath)],
-                                      capsys)
+        code, out, err = run_main(["relax", "--problem", str(ppath)], capsys)
+        assert [str(w.message) for w in recwarn] == []
         assert code == 2
         assert out == ""
         assert err.startswith("relax failed: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def _child_env(max_work: str) -> dict[str, str]:
@@ -768,3 +772,24 @@ class TestOptionTable:
             capture_output=True, text=True, env=_child_env("100000"))
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_commands_import_no_numpy_random(self, tmp_path):
+        # numpy.random's import was 5 MB of a cold verify's peak memory;
+        # verify draws its rough grids itself
+        problem = (Path(__file__).resolve().parents[1] / "scripts"
+                   / "sample_problem.json")
+        argvs = [
+            ["verify", "--suite", "all", "--out", str(tmp_path / "v.csv")],
+            ["apply", "--op", "s", "--side", "left", "--alpha", "0.5",
+             "--spec", "sin:1", "--interval", "0,1", "--n-out", "8",
+             "--out", str(tmp_path / "a.csv")],
+            ["relax", "--problem", str(problem), "--out",
+             str(tmp_path / "u.csv"), "--diagnostics", str(tmp_path / "d.json")],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, fracalc.cli; print([fracalc.cli.main(a) for a in "
+             f"{argvs!r}], [m for m in sys.modules if m.startswith('numpy.random')])"],
+            capture_output=True, text=True, env=_child_env("4096"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
