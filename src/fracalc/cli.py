@@ -29,6 +29,7 @@ its input.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -130,24 +131,28 @@ def _field(value) -> str:
 
 def _csv_text(header: list[str], columns: list) -> str:
     """CSV text with "\n" line ends: the header, then one line per row
-    across the columns.  A column is a list of Python values (from numpy
-    arrays through .tolist(), which formats faster) or one value repeated
-    on every row, formatted once.  Each row is one %-template: numbers as
-    %.15g, the same text as format's {:.15g}.  Numbers, true/false and the
-    header names hold no comma, quote or line break, so no field needs CSV
-    quoting."""
+    across the columns, as many as the shortest list column has.  A column
+    is a list of Python values (from numpy arrays through .tolist(), which
+    formats faster) or one value repeated on every row, formatted once into
+    the template.  A list whose first value is a bool is a bool column,
+    mapped to true/false in one pass.  All rows are one %-template applied
+    once to every value in row order: numbers as %.15g, the same text as
+    format's {:.15g}.  Numbers, true/false and the header names hold no
+    comma, quote or line break, so no field needs CSV quoting."""
     fields, data = [], []
     for c in columns:
         if not isinstance(c, list):
             fields.append(_field(c))
         elif c and isinstance(c[0], bool):
             fields.append("%s")
-            data.append([_field(v) for v in c])
+            data.append(list(map(("false", "true").__getitem__, c)))
         else:
             fields.append("%.15g")
             data.append(c)
-    lines = map(",".join(fields).__mod__, zip(*data))
-    return "\n".join([",".join(header), *lines]) + "\n"
+    rows = min(map(len, data)) if data else 0
+    body = (",".join(fields) + "\n") * rows % tuple(
+        itertools.chain.from_iterable(zip(*data)))
+    return ",".join(header) + "\n" + body
 
 
 def _cmd_kernel(args: SimpleNamespace) -> int:

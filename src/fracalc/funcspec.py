@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -237,13 +238,37 @@ def render_spec(f: FunctionSpec) -> str:
     raise TypeError(f"not a FunctionSpec: {f!r}")
 
 
+# A "\n" that starts a row whose first character could start a header or
+# blank row: x, X, a comma or whitespace ("\n" itself for an empty row).
+_MAYBE_SKIPPED = re.compile(r"\n(?=[xX,\s])")
+
+
+def _skipped(row: str) -> bool:
+    """A header or blank row: its first field stripped is x, X or empty."""
+    return row.split(",", 1)[0].strip().lower() in ("x", "")
+
+
 def load_grid_csv(path: str | Path) -> GridFunction:
     """Read CSV x,value rows with strictly increasing uniform x; a row
     whose first field is x or empty (a header, a blank line) is skipped,
-    and fields past the second are ignored."""
+    and fields past the second are ignored.  The file is read once, and
+    only rows that start like a header or a blank row are tested; rows
+    end at "\n" alone, as iterating over the file ends them (str.splitlines
+    would also split at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029)."""
     with open(path) as fh:
-        rows = [line for line in fh
-                if line.split(",", 1)[0].strip().lower() not in ("x", "")]
+        text = fh.read()
+    rows = text.split("\n")
+    if not rows[-1]:
+        rows.pop()  # after the last line end: no row
+    skip = {0} if rows and _skipped(rows[0]) else set()
+    row, at = 0, 0
+    for m in _MAYBE_SKIPPED.finditer(text):
+        row += text.count("\n", at, m.end())  # the row after this "\n"
+        at = m.end()
+        if _skipped(rows[row]):
+            skip.add(row)
+    if skip:
+        rows = [r for i, r in enumerate(rows) if i not in skip]
     if len(rows) < 3:
         raise ValueError(f"grid file {path} needs at least 3 rows")
     x, vs = np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2).T

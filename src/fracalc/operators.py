@@ -21,10 +21,10 @@ machine precision.  On the input's own lattice, or a sub-lattice of it,
 J, S and the derivative D = d/dx J (the derivatives module) each run as
 one Toeplitz convolution against their own hat-function weights, a
 zero-padded real-FFT product in O(n log n) whose weight spectrum is
-cached per lattice, so a warm apply evaluates no kernel.  J's and D's
-weights past the first cell are sums over E1's exponential modes
-(special.e1_modes), by shifted power blocks; S's come from
-special.s_moments.  At other points J, S and D integrate over [a, x]
+cached per lattice, so a warm apply evaluates no kernel.  The weights of
+J, S and D past the first cell are sums over the kernel's exponential
+modes (special.e1_modes, special.s_modes), by shifted power blocks.  At
+other points J, S and D integrate over [a, x]
 (left) or [x, b] (right), so the grid must cover the operator interval:
 the few cells nearest x take exact moments, and all older cells one
 history per exponential mode of the kernel, advanced from point to point
@@ -247,22 +247,25 @@ def _hat(near: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, far
 
 
-# Lags per power block of _e1_lags, and the entries (modes x blocks) of
-# one chunk of its block scales.
+# Lags per power block of _mode_lags, and the entries (modes x blocks) of
+# one chunk of its block scales.  At 2^12 OpenBLAS runs each product on one
+# thread: at 2^14 its default threads made a cold n = 4,096 lattice up to
+# ten times slower than one thread, erratically (2 vCPU).
 _LAG_BLOCK = 64
-_LAG_ENTRIES = 2 ** 14
+_LAG_ENTRIES = 2 ** 12
 
 
-def _e1_lags(dz: float, n: int, columns: Callable) -> np.ndarray:
-    """sum_v c_v e^(-a_v l dz) X_v at the lags l = 1..n-1 over E1's modes
-    (a, c) on the lattice dz, one row per column X of columns(a, g0, g1),
-    g_j = int_0^dz y^j e^(-a y) dy; the column g_j gives the cells' moment
-    j about their own low ends.  By shifted power blocks: with l = 1 + 64 B
-    + j, e^(-a l dz) = e^(-a j dz) e^(-a (1 + 64 B) dz), so one table of
-    the columns times e^(-a j dz), j < 64, against each block's scale
-    replaces the exp of every lag and mode.  Every term keeps the sign of
-    its column."""
-    a, c = e1_modes(dz)
+def _mode_lags(modes: tuple[np.ndarray, np.ndarray], dz: float, n: int,
+               columns: Callable) -> np.ndarray:
+    """sum_v c_v e^(-a_v l dz) X_v at the lags l = 1..n-1 over a kernel's
+    modes (a, c) on the lattice dz, one row per column X of columns(a, g0,
+    g1), g_j = int_0^dz y^j e^(-a y) dy; the column g_j gives the cells'
+    moment j about their own low ends.  By shifted power blocks: with l = 1
+    + 64 B + j, e^(-a l dz) = e^(-a j dz) e^(-a (1 + 64 B) dz), so one
+    table of the columns times e^(-a j dz), j < 64, against each block's
+    scale replaces the exp of every lag and mode.  Every term keeps the
+    sign of its column."""
+    a, c = modes
     g0, g1 = exp_moments(a, dz, 1)
     cols = c * np.stack(columns(a, g0, g1))
     blocks = -(-(n - 1) // _LAG_BLOCK)
@@ -277,33 +280,38 @@ def _e1_lags(dz: float, n: int, columns: Callable) -> np.ndarray:
     return out.reshape(len(cols), -1)[:, :n - 1]
 
 
-def _e1_lattice_moments(dz: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """E1 moments m0, m1 of the cells [l dz, (l + 1) dz], l < n, about
-    their low ends: the head cell from the closed e1_moments, every other
-    cell a sum of positive terms over E1's modes."""
+def _lattice_moments(head, modes: tuple[np.ndarray, np.ndarray], dz: float,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A kernel's moments m0, m1 of the cells [l dz, (l + 1) dz], l < n,
+    about their low ends: the head cell's head = (m0, m1), every other cell
+    a sum of positive terms over the kernel's modes."""
     m0, m1 = np.empty(n), np.empty(n)
-    m0[0], m1[0] = e1_moments(dz, 1)
-    m0[1:], m1[1:] = _e1_lags(dz, n, lambda a, g0, g1: (g0, g1))
+    m0[0], m1[0] = head
+    m0[1:], m1[1:] = _mode_lags(modes, dz, n, lambda a, g0, g1: (g0, g1))
     return m0, m1
 
 
-def _j_weights(dz: float, n: int,
-               acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """J's weights (no acc): with m0, m1 a cell's moments about its low
-    end, far = m1/dz and near = m0 - far, at least half of m0."""
-    m0, m1 = _e1_lattice_moments(dz, n)
+def _cell_hat(m0: np.ndarray, m1: np.ndarray,
+              dz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hat weights from cell moments about the cells' low ends: far =
+    m1/dz, and near = m0 - far, at least half of m0."""
     far = m1 / dz
     return _hat(m0 - far, far)
 
 
+def _j_weights(dz: float, n: int,
+               acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """J's weights (no acc): E1's closed head cell and its modes."""
+    return _cell_hat(*_lattice_moments(e1_moments(dz, 1), e1_modes(dz), dz, n),
+                     dz)
+
+
 def _s_weights(dz: float, n: int,
                acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """S's weights, from its cell moments about 0 (the alpha factor is the
-    apply's scale)."""
-    m0, m1 = s_moments(dz * np.arange(n), dz, 1, acc)
-    with np.errstate(over="ignore", invalid="ignore"):  # _hat_weights checks
-        near = (dz * np.arange(1, n + 1) * m0 - m1) / dz
-        return _hat(near, m0 - near)
+    """S's weights (the alpha factor is the apply's scale): the head cell
+    from s_moments and S's modes, whose first, a = 0, is its constant 1."""
+    return _cell_hat(*_lattice_moments(s_moments(0.0, dz, 1, acc),
+                                       s_modes(dz, acc), dz, n), dz)
 
 
 def _d_weights(dz: float, n: int,
@@ -316,8 +324,9 @@ def _d_weights(dz: float, n: int,
     -e^(-a (L-1) dz) a g0^2/dz for L >= 2, and E1(z_i) - m0_(i-1)/dz =
     -e^(-a (i-1) dz) a g1/dz for i >= 2."""
     head = float(e1_moments(dz, 0)[0])
-    m0, dw, dfar = _e1_lags(
-        dz, n, lambda a, g0, g1: (g0, a * g0 * g0 / dz, a * g1 / dz))
+    m0, dw, dfar = _mode_lags(
+        e1_modes(dz), dz, n,
+        lambda a, g0, g1: (g0, a * g0 * g0 / dz, a * g1 / dz))
     w, far = np.empty(n), np.empty(n)
     w[0], far[0] = head / dz, float(e1_array(np.array([dz]))[0]) - head / dz
     w[1:2] = (m0[:1] - head) / dz
@@ -327,12 +336,13 @@ def _d_weights(dz: float, n: int,
 
 
 def _hat_weights(weights: Callable, dz: float, n: int,
-                 acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+                 acc: Accuracy) -> tuple[np.ndarray, np.ndarray, float]:
     """The spectrum rfft(W, _fft_size(n)) of one operator's hat weights on
-    one lattice, weights(dz, n, acc) = (W, far), and its anchor weights
-    far, cached read-only and evicted least recently used first: sweeps
-    and the Picard loop apply J, S and D on the same few lattices many
-    times, and a warm apply then costs one rfft and one irfft."""
+    one lattice, weights(dz, n, acc) = (W, far), its anchor weights far and
+    its lag-0 weight W_0, the diagonal of the lattice map, cached read-only
+    and evicted least recently used first: sweeps and the Picard loop apply
+    J, S and D on the same few lattices many times, and a warm apply then
+    costs one rfft and one irfft."""
     key = (weights, dz, n, acc)
     with _hat_lock:
         hit = _hat_cache.get(key)
@@ -346,14 +356,15 @@ def _hat_weights(weights: Callable, dz: float, n: int,
     spectrum = np.fft.rfft(w, _fft_size(n))
     spectrum.setflags(write=False)
     far.setflags(write=False)
+    entry = spectrum, far, float(w[0])
     with _hat_lock:
-        _hat_cache[key] = spectrum, far
+        _hat_cache[key] = entry
         while len(_hat_cache) > 1 and (
                 len(_hat_cache) > _HAT_ENTRIES
-                or sum(s.nbytes + f.nbytes for s, f in _hat_cache.values())
+                or sum(s.nbytes + f.nbytes for s, f, _ in _hat_cache.values())
                 > _HAT_BYTES):
             _hat_cache.popitem(last=False)
-    return spectrum, far
+    return entry
 
 
 def _lattice_apply(g: GridFunction, p: OperatorParams, weights: Callable,
@@ -361,7 +372,7 @@ def _lattice_apply(g: GridFunction, p: OperatorParams, weights: Callable,
     """scale times the integral (or derivative) at every node of g's own
     lattice, where the cell terms depend only on the lag: _lattice_product
     with the operator's cached hat weights, O(n log n) at every n."""
-    spectrum, far = _hat_weights(weights, g.spacing / p.alpha, g.n, p.acc)
+    spectrum, far, _ = _hat_weights(weights, g.spacing / p.alpha, g.n, p.acc)
     return _lattice_product(g.values, spectrum, far, scale, p.side)
 
 

@@ -97,9 +97,17 @@ class RelaxationProblem:
 
 @dataclass
 class SolveDiagnostics:
+    """kappa is the contraction constant of the continuous map; rho =
+    |lambda - c| alpha W_0 the spectral radius of one sweep on the lattice,
+    W_0 the lag-0 hat weight of S: a sweep maps the error e at nodes 1..n
+    to -(lambda - c) alpha A e, A lower-triangular Toeplitz with diagonal
+    W_0.  Picard on the lattice converges from every start exactly when
+    rho < 1, and rho <= kappa."""
+
     iterations: int
     sup_changes: list[float]
     kappa: float
+    rho: float
     converged: bool
     contraction_warning: bool = False
 
@@ -150,8 +158,10 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
     once its sup change exceeds _DIVERGENCE_GROWTH times the smallest sup
     change before it, and returns that last iterate, unconverged; an
     iterate that overflows first ends the run at the last finite one.
-    acc reaches every kernel evaluation (kappa and each T); a kernel that
-    exceeds its work budget raises RuntimeError.
+    The diagnostics report rho, the spectral radius of one sweep on the
+    lattice, next to kappa (see SolveDiagnostics).  acc reaches every
+    kernel evaluation (kappa and each T); a kernel that exceeds its work
+    budget raises RuntimeError.
     """
     if u0.interval != TIME_DOMAIN or u0.n != prob.grid_n:
         raise ValueError(
@@ -161,8 +171,10 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
     warning = kappa >= 1.0
     rhs = prob.rhs_at(u0.nodes())
     # T's hat weights, looked up once: every sweep is one lattice product
-    spectrum, far = _hat_weights(_s_weights, u0.spacing / prob.alpha,
-                                 prob.grid_n, acc)
+    spectrum, far, w0 = _hat_weights(_s_weights, u0.spacing / prob.alpha,
+                                     prob.grid_n, acc)
+    mu = prob.lam - (prob.rhs.c if isinstance(prob.rhs, Affine) else 0.0)
+    rho = abs(mu) * prob.alpha * w0
     u = u0.values.copy()
     sup_changes: list[float] = []
     converged = False
@@ -185,8 +197,8 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
             break
         smallest = min(smallest, change)
     return (GridFunction(TIME_DOMAIN, u),
-            SolveDiagnostics(len(sup_changes), sup_changes, kappa, converged,
-                             warning))
+            SolveDiagnostics(len(sup_changes), sup_changes, kappa, rho,
+                             converged, warning))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +248,7 @@ def diagnostics_to_json(d: SolveDiagnostics) -> dict:
     return {
         "iterations": d.iterations,
         "kappa": d.kappa,
+        "rho": d.rho,
         "sup_changes": d.sup_changes,
         "converged": d.converged,
         "warning": d.contraction_warning,

@@ -9,7 +9,8 @@ x).  The E1 and S moments share one helper for the lower incomplete
 gammas gamma(j + 1, b) of integer order.  On the nodes of the S rule
 below, both kernels are also sums of decaying exponentials c e^(-a z),
 a = 1 + e^v (e1_modes, s_modes), whose cell integrals are closed
-(exp_moments): the grid operators' history runs over these modes.
+(exp_moments): the grid operators' lattice weights and history, and the
+cells of s_moments away from 0, run over these modes.
 
 Every S quantity comes from one representation.  With u = e^v in
 S(x) = 1 + exp(-x) int_0^inf exp(-xu)/(ln^2 u + pi^2) du,
@@ -101,7 +102,7 @@ def e1(x: float) -> float:
     """E1(x) = int_x^inf exp(-t)/t dt for x > 0, evaluated by e1_array."""
     if not x > 0.0:
         raise ValueError(f"e1 requires x > 0, got {x}")
-    return float(e1_array(np.array([x]))[0])
+    return _e1_float(float(x))
 
 
 # (-1)^k / (k k!) for k = 22 down to 1: the power series of E1 below 1,
@@ -196,6 +197,8 @@ def e1_array(x: np.ndarray) -> np.ndarray:
     relative error is under 1e-15 on [1, 700].
     """
     x = np.asarray(x, dtype=float)
+    if x.size == 1:
+        return np.full(x.shape, _e1_float(x.item()))
     if not np.all(x > 0.0):  # NaN too
         raise ValueError("e1_array requires strictly positive arguments")
     out = np.empty_like(x)
@@ -237,6 +240,32 @@ def e1_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _e1_float(x: float) -> float:
+    """e1_array at one Python float, its arithmetic step for step, so the
+    result is the same to the bit: numpy's ufuncs cost about a microsecond
+    each on a one-element array, and a branch makes up to 45 of them.  The
+    exp and log stay numpy's."""
+    if not x > 0.0:  # NaN too
+        raise ValueError("e1_array requires strictly positive arguments")
+    if x < 1.0:
+        poly = _E1_SERIES[0]
+        for c in _E1_SERIES[1:]:
+            poly = poly * x + c
+        return -EULER_GAMMA - float(np.log(x)) - poly * x
+    if x < _E1_POLY_END:
+        m, e = math.frexp(x)
+        t = 4.0 * m - 3.0
+        coef = _E1_OCTAVES[e - 1]
+        h = coef[0]
+        for c in coef[1:]:
+            h = h * t + c
+        return h * float(np.exp(-x)) / x
+    d = x + (2 * _E1_CF_DEPTH + 1)
+    for i in range(_E1_CF_DEPTH - 1, -1, -1):
+        d = x + (2 * i + 1) - (i + 1) ** 2 / d
+    return float(np.exp(-x)) / d
+
+
 def _lower_gammas(b: np.ndarray, k: int) -> np.ndarray:
     """gamma(j + 1, b) = int_0^b t^j e^(-t) dt for j = 0..k, b >= 0, as
     the k + 1 rows of an array of b's shape.
@@ -254,13 +283,14 @@ def _lower_gammas(b: np.ndarray, k: int) -> np.ndarray:
     out[0] = -np.expm1(-b)
     if k == 0:
         return out
-    t = [np.exp(-b)]
-    for i in range(1, k + 1):
+    e = np.exp(-b)
+    t = [e, e * b]
+    for i in range(2, k + 1):
         t.append(t[-1] * b / i)
-    r = out[0] - sum(t[1:])
+    r = out[0] - (t[1] if k == 1 else sum(t[1:]))
     small = r < 0.25 * out[0]
-    if np.any(small):
-        bs = b[small]
+    bs = b[small]
+    if bs.size:
         b_max = float(bs.max())
         coef = [1.0]  # (k+1)!/(k+1+m)!
         while coef[-1] * b_max ** (len(coef) - 1) > 1e-17:
@@ -270,9 +300,10 @@ def _lower_gammas(b: np.ndarray, k: int) -> np.ndarray:
             series *= bs
             series += c
         r[small] = t[k][small] * bs / (k + 1) * series
-    for j in range(k, 0, -1):
+    for j in range(k, 1, -1):
         out[j] = math.factorial(j) * r
         r += t[j]
+    out[1] = r
     return out
 
 
@@ -431,10 +462,11 @@ _V_LO = -40.0
 _S_SATURATION = 40.0
 
 # cells (or points) x v-nodes per chunk of s_moments and per bucket of
-# volterra_s_array.  The exponentials of every chunk of a call fill one
-# 512 KiB buffer, so peak memory does not grow with the call; a fresh
-# temporary per chunk, which glibc may return to the OS and fault in again
-# for the next, made verify's volterra_s_array 2.5 times slower (2 vCPU).
+# volterra_s_array, so peak memory does not grow with the call.  The
+# exponentials of every bucket of volterra_s_array fill one 512 KiB
+# buffer: a fresh temporary per bucket, which glibc may return to the OS
+# and fault in again for the next, made verify's calls 2.5 times slower
+# (2 vCPU).
 _S_ENTRIES = 2 ** 16
 
 
@@ -485,20 +517,6 @@ def _v_grid(count: int) -> tuple[np.ndarray, np.ndarray]:
     # by ~1e-14 relative, which biases every weight by as much
     v = _V_LO + _V_STEP * np.arange(count)
     return v, _V_STEP / (v * v + math.pi ** 2)
-
-
-def _v_chunks(key: np.ndarray, todo: np.ndarray, v_hi: Callable[[float], float],
-              acc: Accuracy):
-    """The indices todo, sorted by key, in chunks that share the trapezoid
-    nodes up to v_hi(k) of their smallest key k: at most _S_ENTRIES
-    entries times nodes each, one entry at least.  Yields (idx, v, w)."""
-    order = todo[np.argsort(key[todo])]
-    start = 0
-    while start < order.size:
-        v, w = _v_nodes(v_hi(float(key[order[start]])), acc)
-        idx = order[start:start + max(1, _S_ENTRIES // v.size)]
-        start += idx.size
-        yield idx, v, w
 
 
 # The fold of volterra_s_array.  Where y = x e^v <= _FOLD_TAU, exp(-y) is
@@ -613,13 +631,12 @@ def volterra_s_array(x: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndar
 
 
 def _cell_terms(b: np.ndarray, v: np.ndarray, w: np.ndarray, k: int,
-                first: np.ndarray | None = None) -> list[np.ndarray]:
+                first: np.ndarray) -> list[np.ndarray]:
     """w e^v/a^(j+1) times gamma(j + 1, b) for j = 0..k, a = 1 + e^v, with
-    first in place of gamma(1, b) if given: e^v/a, e^v/a^2 and e^v/a^3 are
-    sigma, sigma' and sigma'/a."""
+    first in place of gamma(1, b): e^v/a, e^v/a^2 and e^v/a^3 are sigma,
+    sigma' and sigma'/a."""
     gammas = _lower_gammas(b, k)
-    if first is not None:
-        gammas[0] = first
+    gammas[0] = first
     return [w * scale(v) * gamma for scale, gamma in
             zip((_sigma, _sigma_prime, _sigma_prime_over_a), gammas)]
 
@@ -635,16 +652,16 @@ def s_moments(lo, width, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray
 
         G_i = int w e^(-lo a) gamma(i + 1, d a)/a^(i+1) dv,
 
-    free of cancellation.  Cells from lo = 40 on have S = 1 and are exact.
-    Other cells with lo > 0 run by width in the chunks of _v_chunks, with
-    v up to ln(50/lo_min) (the tail is under exp(-50)): the gamma columns
-    of one width depend on v only and are built once, so a lattice costs
-    one exp per cell and node, and the off-lattice blocks of a grid, whose
-    widths round to a few dozen values, little more.  A head cell (lo = 0)
-    holds the singularity: its G_0 is 1/2 - int sigma e^(-d a)/(v^2 +
-    pi^2) dv (the complement of Q), and past v = ln(1/d) its G_1, G_2
-    integrands decay only like e^(-v), so it takes v up to 40 - ln d,
-    leaving a tail under 1e-17 relative.
+    free of cancellation.  A head cell (lo = 0) holds the singularity: its
+    G_0 is 1/2 - int sigma e^(-d a)/(v^2 + pi^2) dv (the complement of Q),
+    and past v = ln(1/d) its G_1, G_2 integrands decay only like e^(-v), so
+    it takes v up to 40 - ln d, leaving a tail under 1e-17 relative.  Other
+    cells take G_i as sums of positive terms over S's modes from their
+    smallest lo on (s_modes, the trapezoid rule up to ln(50/lo)), the cells
+    of one width sharing their moment columns, so a cell costs one exp per
+    mode; cells from lo = 40 on have S = 1 and are exact.  The operators'
+    lattice weights take S's modes by shifted power blocks instead, and
+    call this for their head cell.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"s_moments requires k in 0..2, got {k}")
@@ -678,19 +695,18 @@ def s_moments(lo, width, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray
             terms[0] = -terms[0][:, :cut]
             g[:, idx] = [t.sum(axis=1) for t in terms]
     body = np.nonzero((lo > 0.0) & (lo < _S_SATURATION) & (d > 0.0))[0]
-    body = body[np.argsort(d[body])]
-    buf = np.empty(_S_ENTRIES)
-    for cells in np.split(body, np.flatnonzero(np.diff(d[body])) + 1):
-        cols = None  # on the first chunk's nodes, the most; then a prefix
-        for idx, v, w in _v_chunks(lo, cells,
-                                   lambda l0: _v_top(l0, "s_moments"), acc):
-            a = 1.0 + np.exp(v)
-            if cols is None:
-                b = d[idx[0]] * a
-                cols = np.stack(_cell_terms(b, v, w, k), axis=1)
-            e = np.outer(lo[idx], -a, out=buf[:idx.size * a.size].reshape(
-                idx.size, -1))
-            g[:, idx] = (np.exp(e, out=e) @ cols[:v.size]).T
+    if body.size:
+        # sum_v c_v e^(-a_v lo) int_0^d y^i e^(-a_v y) dy over S's modes
+        # past its constant one (the polynomial part), all terms positive;
+        # the cells of one width share their columns c int_0^d y^i e^(-a y)
+        a, c = (m[1:] for m in s_modes(float(lo[body].min()), acc))
+        body = body[np.argsort(d[body], kind="stable")]
+        per = max(1, _S_ENTRIES // a.size)
+        for cells in np.split(body, np.flatnonzero(np.diff(d[body])) + 1):
+            cols = c * exp_moments(a, float(d[cells[0]]), k)
+            for start in range(0, cells.size, per):
+                idx = cells[start:start + per]
+                g[:, idx] = cols @ np.exp(np.outer(-a, lo[idx]))
     out = np.empty((k + 1, lo.size))
     out[0] = (d + 0.5 * head) + g[0]  # a head's 1/2 first, as in Q
     # a moment past 1e308 is inf, for the caller's finiteness check
@@ -736,15 +752,16 @@ def exp_moments(a: np.ndarray, width: float, k: int) -> np.ndarray:
     width^(j + 1)/(j + 1) where a = 0.  Every term is positive.  Raises
     ValueError where a = 0 and width^(k + 1) overflows."""
     a = np.asarray(a, dtype=float)
-    out = np.empty((k + 1, a.size))
-    pos = a > 0.0
-    ap = a[pos]
-    for j, gamma in enumerate(_lower_gammas(ap * width, k)):
-        with np.errstate(over="ignore"):  # a^(j + 1) = inf: the term is 0
-            out[j][pos] = gamma / ap ** (j + 1)
-        if ap.size < a.size:
+    out = _lower_gammas(a * width, k)
+    # a = 0 gives 0/0 here, and a^(j + 1) = inf a term of 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(k + 1):
+            out[j] /= a ** (j + 1)
+    zero = a == 0.0
+    if zero.any():
+        for j in range(k + 1):
             try:  # a float's power raises where numpy's only warns
-                out[j][~pos] = float(width) ** (j + 1) / (j + 1)
+                out[j][zero] = float(width) ** (j + 1) / (j + 1)
             except OverflowError:
                 raise ValueError(f"exp_moments: width^{j + 1} overflows at "
                                  f"width {width:g}") from None

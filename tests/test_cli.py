@@ -269,6 +269,44 @@ def _csv_text_by_format(header, columns):
     return "\n".join([",".join(header), *lines]) + "\n"
 
 
+def _csv_text_by_row(header, columns):
+    """The emitter's former text: bool values one _field call each, then
+    one %-template per row."""
+    fields, data = [], []
+    for c in columns:
+        if not isinstance(c, list):
+            fields.append(cli._field(c))
+        elif c and isinstance(c[0], bool):
+            fields.append("%s")
+            data.append([cli._field(v) for v in c])
+        else:
+            fields.append("%.15g")
+            data.append(c)
+    lines = map(",".join(fields).__mod__, zip(*data))
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+_NUMBERS = st.floats(allow_nan=True, allow_infinity=True) | st.integers(
+    -10 ** 20, 10 ** 20)
+_CONSTANTS = st.one_of(st.floats(), st.booleans(), st.integers(-5, 5))
+
+
+@st.composite
+def _csv_columns(draw):
+    """Columns as the commands pass them: lists of numbers, lists of bools
+    (all bools, or all of one value), constants, empty lists, and lists of
+    different lengths."""
+    size = draw(st.integers(0, 40))
+    column = st.one_of(
+        st.lists(_NUMBERS, min_size=size, max_size=size),
+        st.lists(st.booleans(), min_size=size, max_size=size),
+        st.booleans().map(lambda b: [b] * size),
+        st.lists(_NUMBERS, max_size=size + 3),
+        st.lists(st.booleans(), max_size=size + 3),
+        _CONSTANTS)
+    return draw(st.lists(column, min_size=1, max_size=5))
+
+
 class TestCsvText:
     @pytest.mark.parametrize("columns", [
         [[0.0, 0.5, 1.0], [1e-300, -0.0, 12345678.901234567], [True, False, True],
@@ -282,6 +320,13 @@ class TestCsvText:
     def test_bytes_match_format(self, columns):
         header = [f"c{i}" for i in range(len(columns))]
         assert cli._csv_text(header, columns) == _csv_text_by_format(
+            header, columns)
+
+    @given(_csv_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_the_row_templates(self, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        assert cli._csv_text(header, columns) == _csv_text_by_row(
             header, columns)
 
 

@@ -217,3 +217,86 @@ class TestCatalogDerivative:
     def test_no_derivative_for_kernel(self):
         with pytest.raises(ValueError):
             catalog_derivative(E1KernelLeft(), UNIT)
+
+
+def _load_grid_csv_reference(path):
+    """The loader's former row filter: every line of the file through a
+    Python test, then np.loadtxt over the kept lines."""
+    with open(path) as fh:
+        rows = [line for line in fh
+                if line.split(",", 1)[0].strip().lower() not in ("x", "")]
+    if len(rows) < 3:
+        raise ValueError(f"grid file {path} needs at least 3 rows")
+    x, vs = np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2).T
+    dx = np.diff(x)
+    if np.any(dx <= 0.0):
+        raise ValueError(f"grid file {path} must have strictly increasing x")
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    if np.max(np.abs(dx - h)) > 1e-9 * max(abs(x[0]), abs(x[-1]), h):
+        raise ValueError(f"grid file {path} is not uniformly spaced")
+    return GridFunction(Interval(float(x[0]), float(x[-1])), vs)
+
+
+# whitespace that str.strip removes, including the characters at which
+# str.splitlines, but not iteration over a file, ends a line
+_SPACES = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0 "
+                                  " 　"), max_size=3)
+
+
+@st.composite
+def _grid_files(draw):
+    """The text of a grid file: data rows of a uniform grid, some with
+    padding or extra fields, among headers, blank and whitespace rows,
+    rows starting with a comma, and now and then a one-column or
+    misplaced row; each row ends in \\n, \\r\\n or \\r, the last one maybe
+    in nothing."""
+    n = draw(st.integers(1, 8))
+    a = draw(st.sampled_from([0.0, -1.0, 0.25]))
+    h = draw(st.sampled_from([0.125, 0.5, 1e-3]))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    rows = []
+    for i, v in enumerate(values):
+        x = f"{a + i * h:.15g}"
+        row = draw(st.sampled_from([f"{x},{v!r}", f"{x},{v!r},note",
+                                    f"{x},{v!r},,", f" {x} ,{v!r} ",
+                                    f"{x}, {v!r}\x0b", f"\t{x},{v!r}"]))
+        rows.append(draw(_SPACES) + row if draw(st.booleans()) else row)
+    extras = st.sampled_from(
+        ["x,value", "X ,v", "x", " x ,y,z", "X", ",", ",5", " ,9", "", "x\x0c",
+         "0.5", "xy,1", "#comment", "nan,1", "1,2,3"])
+    for _ in range(draw(st.integers(0, 5))):
+        extra = draw(st.one_of(extras, _SPACES))
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(rows),
+                         max_size=len(rows)))
+    text = "".join(r + e for r, e in zip(rows, ends))
+    return text[:-len(ends[-1])] if draw(st.booleans()) else text
+
+
+class TestGridCsvReader:
+    @given(_grid_files())
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_as_the_row_filter(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("grid") / "g.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            ref = _load_grid_csv_reference(path)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                load_grid_csv(path)
+            assert str(got.value) == str(exc)
+            return
+        g = load_grid_csv(path)
+        assert g.interval == ref.interval
+        assert np.array_equal(g.values, ref.values)
+
+    def test_written_file_reads_back(self, tmp_path):
+        # write_grid_csv ends its rows in \r\n
+        g = GridFunction(UNIT, np.random.default_rng(8).standard_normal(33))
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, g)
+        assert path.read_bytes().count(b"\r\n") == 33
+        assert load_grid_csv(path) == _load_grid_csv_reference(path)
+        assert np.allclose(load_grid_csv(path).values, g.values, rtol=1e-14)

@@ -1,6 +1,7 @@
 """Grid inputs against 30-digit mpmath references: the lattice hat weights
-of J and D, and J, S and D of a carrier at points off its lattice."""
+of J, S and D, and J, S and D of a carrier at points off its lattice."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from fracalc.operators import (
     Side,
     _d_weights,
     _j_weights,
+    _s_weights,
     apply_j,
     apply_j_at,
     apply_s_at,
@@ -93,6 +95,61 @@ class TestLatticeWeights:
                       OperatorParams(Side.LEFT, alpha, UNIT), n).outputs.values
         assert np.max(np.abs(out - ref)) <= (
             self.MULTIPLE * n * EPS * np.sum(np.abs(w_ref)))
+
+
+def _mp_s_cells(dz, lags):
+    """S moments m0, m1 of the cells [l dz, (l + 1) dz] about their low
+    ends at 30 digits.  Cell 0 from the definitions Q(d) = int_0^inf P(s,
+    d) ds and M1(d) = int_0^inf s P(s + 1, d) ds; every other cell from the
+    v-trapezoid of S's modes, S = 1 + h sum_v e^v/(v^2 + pi^2) e^(-a z), a =
+    1 + e^v, on the nodes v = -40 + 0.2 i up to ln(50/dz), each mode's cell
+    integral closed."""
+    with mp.workdps(30):
+        count = int((math.log(50.0 / dz) + 40.0) / 0.2) + 2
+        v = [mp.mpf(-40.0 + 0.2 * i) for i in range(count)]
+        a = [1 + mp.exp(x) for x in v]
+        c = [mp.mpf(0.2) * mp.exp(x) / (x * x + mp.pi ** 2) for x in v]
+        d = mp.mpf(dz)
+        g0 = [-mp.expm1(-ai * d) / ai for ai in a]
+        g1 = [(1 - mp.exp(-ai * d) * (1 + ai * d)) / ai ** 2 for ai in a]
+        out = {}
+        for l in lags:
+            if l == 0:
+                out[0] = tuple(mp.quad(
+                    lambda s: s ** j * mp.gammainc(s + j, 0, d,
+                                                   regularized=True),
+                    [0, 1, 10, mp.inf]) for j in (0, 1))
+                continue
+            e = [mp.exp(-ai * l * d) for ai in a]
+            out[l] = (d + mp.fsum(x * y * z for x, y, z in zip(c, e, g0)),
+                      d * d / 2 + mp.fsum(x * y * z for x, y, z in zip(c, e, g1)))
+        return out
+
+
+class TestSWeights:
+    # S's weights past the head cell are sums of positive mode terms, each
+    # about its cell's low end: at most 1.5e-15 relative at every sampled
+    # lag on these lattices.  Cell moments about 0, differenced, reached
+    # 5.0e-13 for far at lag 1,999 of (2000, 0.3) and 8.3e-13 on (4096, 1)
+    BOUND = 1e-14
+
+    @pytest.mark.parametrize("n, alpha", [(2000, 0.3), (4096, 1.0),
+                                          (1024, 0.05)])
+    def test_weights_against_mpmath(self, n, alpha):
+        dz = (1.0 / n) / alpha
+        lags = sorted({0, 1, 2, n - 1}
+                      | set(np.geomspace(1, n - 1, 30).astype(int).tolist()))
+        cells = _mp_s_cells(dz, sorted(set(lags) | {l - 1 for l in lags[1:]}))
+        w, far = _s_weights(dz, n, DEFAULT_ACCURACY)
+        with mp.workdps(30):
+            far_ref = {l: cells[l][1] / dz for l in cells}
+            w_ref = {l: cells[l][0] - far_ref[l] + (far_ref[l - 1] if l else 0)
+                     for l in lags}
+            for l in lags:
+                assert abs(far[l] - float(far_ref[l])) <= (
+                    self.BOUND * float(far_ref[l])), l
+                assert abs(w[l] - float(w_ref[l])) <= (
+                    self.BOUND * float(w_ref[l])), l
 
 
 def _cells(g, p, x):

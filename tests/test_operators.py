@@ -485,8 +485,8 @@ class TestApplyS:
         size = operators._HAT_ENTRIES
         assert size >= 16
         for k in range(size + 3):
-            spectrum, far = _hat_weights(weights, 0.5 + k, 2,
-                                         DEFAULT_ACCURACY)
+            spectrum, far, _ = _hat_weights(weights, 0.5 + k, 2,
+                                            DEFAULT_ACCURACY)
         for cached in (spectrum, far):
             with pytest.raises(ValueError):
                 cached[0] = 0.0  # callers share the cached arrays
@@ -500,7 +500,7 @@ class TestApplyS:
         monkeypatch.setattr(operators, "_HAT_BYTES", 3 * entry)
         _hat_weights(weights, 100.5, 2, DEFAULT_ACCURACY)
         assert sum(s.nbytes + f.nbytes
-                   for s, f in _hat_cache.values()) <= 3 * entry
+                   for s, f, _ in _hat_cache.values()) <= 3 * entry
         assert [key[1] for key in _hat_cache] == [0.5 + size + 2, 0.5, 100.5]
 
     def test_warm_lattice_evaluates_no_kernel(self, monkeypatch):
@@ -531,7 +531,8 @@ class TestApplyS:
 def _e1_cell_moments(dz, n, acc):
     """E1 moments m0, m1 of the cells [k dz, (k+1) dz], k < n, about
     their low ends, as the J lattice takes them."""
-    return operators._e1_lattice_moments(dz, n)
+    return operators._lattice_moments(special.e1_moments(dz, 1),
+                                      special.e1_modes(dz), dz, n)
 
 
 def _s_cell_moments(dz, n, acc):

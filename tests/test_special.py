@@ -105,6 +105,23 @@ class TestE1Array:
         assert out.shape == ()
         assert float(out) == e1_array(np.array([x]))[0]
 
+    def test_one_point_is_bit_identical(self):
+        # one point runs the branch in Python floats (numpy's ufuncs cost
+        # about a microsecond each on one element); it must give the
+        # array path's bits in every branch and at every octave edge
+        edges = [2.0 ** k for k in range(7)]
+        x = np.concatenate([
+            np.geomspace(1e-300, 700.0, 1500),
+            edges, [np.nextafter(e, 0.0) for e in edges], [800.0, 1e300]])
+        want = e1_array(x)
+        got = np.array([e1_array(np.array([v]))[0] for v in x])
+        assert np.array_equal(got, want)
+        assert [e1(v) for v in x[::50].tolist()] == want[::50].tolist()
+        assert e1_array(np.array([[0.5]])).shape == (1, 1)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                e1_array(np.array([bad]))
+
     def test_nan_rejected(self):
         # NaN fails every branch's test, so it must raise rather than leave
         # its entry of the output unset
