@@ -29,7 +29,6 @@ its input.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import sys
@@ -45,6 +44,7 @@ from .funcspec import (
     GridFunction,
     Interval,
     ParseError,
+    _csv_text,
     parse_spec,
     sample_spec,
 )
@@ -69,8 +69,6 @@ from .special import (
     s_moments,
     volterra_s_array,
 )
-
-_FMT = "{:.15g}"
 
 
 def default_accuracy() -> Accuracy:
@@ -121,40 +119,6 @@ def _parse_spec_arg(text: str) -> FunctionSpec:
         raise SystemExit(f"bad function spec: {exc}")
 
 
-def _field(value) -> str:
-    """One value as CSV text: a bool as true/false, a number at 15
-    significant digits."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return _FMT.format(value)
-
-
-def _csv_text(header: list[str], columns: list) -> str:
-    """CSV text with "\n" line ends: the header, then one line per row
-    across the columns, as many as the shortest list column has.  A column
-    is a list of Python values (from numpy arrays through .tolist(), which
-    formats faster) or one value repeated on every row, formatted once into
-    the template.  A list whose first value is a bool is a bool column,
-    mapped to true/false in one pass.  All rows are one %-template applied
-    once to every value in row order: numbers as %.15g, the same text as
-    format's {:.15g}.  Numbers, true/false and the header names hold no
-    comma, quote or line break, so no field needs CSV quoting."""
-    fields, data = [], []
-    for c in columns:
-        if not isinstance(c, list):
-            fields.append(_field(c))
-        elif c and isinstance(c[0], bool):
-            fields.append("%s")
-            data.append(list(map(("false", "true").__getitem__, c)))
-        else:
-            fields.append("%.15g")
-            data.append(c)
-    rows = min(map(len, data)) if data else 0
-    body = (",".join(fields) + "\n") * rows % tuple(
-        itertools.chain.from_iterable(zip(*data)))
-    return ",".join(header) + "\n" + body
-
-
 def _cmd_kernel(args: SimpleNamespace) -> int:
     acc = default_accuracy()
     points = _parse_floats(args.points, "points")
@@ -180,7 +144,7 @@ def _cmd_apply(args: SimpleNamespace) -> int:
         raise SystemExit(f"n-out must be at least 2, got {args.n_out}")
     interval = _parse_interval(args.interval)
     spec = _parse_spec_arg(args.spec)
-    side = Side.LEFT if args.side == "left" else Side.RIGHT
+    side = Side(args.side)
     p = OperatorParams(side, args.alpha, interval, acc)
     if args.op == "j":
         report = apply_j(spec, p, args.n_out)
@@ -214,7 +178,7 @@ def _cmd_sweep(args: SimpleNamespace) -> int:
         raise SystemExit("alpha values must be positive")
     interval = _parse_interval(args.interval)
     spec = _parse_spec_arg(args.spec)
-    side = Side.LEFT if args.side == "left" else Side.RIGHT
+    side = Side(args.side)
     n = args.n
     g = spec if isinstance(spec, Grid) else Grid(sample_spec(spec, interval, n))
     spacing = g.fn.spacing
@@ -238,7 +202,7 @@ def _cmd_relax(args: SimpleNamespace) -> int:
         prob = problem_from_json(args.problem)
     except FileNotFoundError:
         raise SystemExit(f"unreadable problem file: {args.problem}")
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"bad problem document {args.problem}: {exc}")
     if args.u0 == "zero":
         u0 = GridFunction(TIME_DOMAIN, np.zeros(prob.grid_n + 1))

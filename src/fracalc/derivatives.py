@@ -34,8 +34,8 @@ from .funcspec import (
     Interval,
     catalog_derivative,
     eval_spec_array,
-    is_bounded,
     sample_spec,
+    singular_endpoint,
 )
 from .operators import (
     OperatorParams,
@@ -52,6 +52,14 @@ from .operators import (
     apply_s,
 )
 from .special import e1_s_convolution_array
+
+# The checks' fixed settings: validate's relative tolerance, the check
+# points, lattice intervals and pass tolerance of the two residual checks,
+# and parts_fractional's lattice intervals (even, for Simpson's weights).
+_VALIDATE_TOL = 1e-6
+_INVERSION_POINTS, _INVERSION_N, _INVERSION_TOL = 25, 8192, 1e-3
+_KATR_POINTS, _KATR_N, _KATR_TOL = 21, 2048, 1e-3
+_PARTS_N = 4096
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,7 @@ class AcFunction:
         anchor = interval.a if side == Side.LEFT else interval.b
         return cls(f, d, float(eval_spec_array(f, anchor, interval)))
 
-    def validate(self, interval: Interval, alpha: float = 1.0,
-                 tol: float = 1e-6) -> None:
+    def validate(self, interval: Interval, alpha: float = 1.0) -> None:
         """Finite-difference check that derivative_spec differentiates spec."""
         h = interval.width * 1e-7
         xs = interval.a + interval.width * np.linspace(0.15, 0.85, 5)
@@ -79,7 +86,7 @@ class AcFunction:
               - eval_spec_array(self.spec, xs - h, interval, alpha)) / (2 * h)
         dv = eval_spec_array(self.derivative_spec, xs, interval, alpha)
         worst = float(np.max(np.abs(fd - dv)))
-        if worst > tol * max(1.0, float(np.max(np.abs(dv)))):
+        if worst > _VALIDATE_TOL * max(1.0, float(np.max(np.abs(dv)))):
             raise ValueError(
                 f"derivative_spec does not differentiate spec (fd gap {worst:.2e})"
             )
@@ -104,35 +111,24 @@ def _interior_nodes(p: OperatorParams, n_out: int) -> np.ndarray:
     return full[1:] if p.side == Side.LEFT else full[:-1]
 
 
-def d_frac_ac(f: AcFunction, p: OperatorParams, n_out: int,
-              include_endpoint: bool = False) -> OperatorReport:
+def d_frac_ac(f: AcFunction, p: OperatorParams, n_out: int) -> OperatorReport:
     """Fractional derivative of an absolutely continuous function:
 
         left:  f(a) E1((x-a)/alpha)/alpha + (J_left  f')(x)
         right: -f(b) E1((b-x)/alpha)/alpha + (J_right f')(x)
 
     The kernel term blows up at the anchor endpoint whenever the boundary
-    value is nonzero, so the output grid excludes that endpoint unless
-    include_endpoint is forced (which is an error for nonzero boundary).
+    value is nonzero, so the output grid excludes that endpoint.
     """
     if n_out < 2:
         raise ValueError(f"n_out must be at least 2, got {n_out}")
     f.validate(p.interval, p.alpha)
-    if include_endpoint:
-        if f.boundary_value != 0.0:
-            raise ValueError(
-                "output grid cannot include the singular endpoint when the "
-                "boundary value is nonzero"
-            )
-        xs = np.linspace(p.interval.a, p.interval.b, n_out + 1)
-        sub = p.interval
-    else:
-        xs = _interior_nodes(p, n_out)
-        sub = Interval(float(xs[0]), float(xs[-1]))
+    xs = _interior_nodes(p, n_out)
     vals, conv, errs = apply_j_at(f.derivative_spec, p, xs)
     if f.boundary_value != 0.0:
         vals = vals + _anchor_term(f.boundary_value, p, xs)
-    return OperatorReport(GridFunction(sub, vals), conv, float(np.max(errs)))
+    return OperatorReport(GridFunction(Interval(float(xs[0]), float(xs[-1])),
+                                       vals), conv, float(np.max(errs)))
 
 
 def d_frac_numeric(g: GridFunction, p: OperatorParams,
@@ -165,35 +161,33 @@ def d_frac_at(g: GridFunction, p: OperatorParams,
             + _anchor_term(float(g(anchor)), p, xs))
 
 
-def check_inversion_ds(phi: FunctionSpec, p: OperatorParams,
-                       n_check: int = 25, fine_n: int = 8192,
-                       tolerance: float = 1e-3) -> ResidualReport:
+def check_inversion_ds(phi: FunctionSpec, p: OperatorParams) -> ResidualReport:
     """Residual of the right-inverse identity: the derivative of the
     second-kind integral recovers phi on the left side and -phi on the
     right side.  Fully numeric pipeline: phi sampled, S through the exact
     lattice route, then the carrier's derivative on the same lattice, at
-    the nodes nearest n_check evenly spaced points.
+    the nodes nearest _INVERSION_POINTS evenly spaced points.
     The lattice must be fine: the piecewise-linear carrier misses the
     kernel's logarithmic curvature in the first cells and that deficit is
     what limits the differentiated composition.
     """
     if not isinstance(phi, Grid):
-        phi = Grid(sample_spec(phi, p.interval, fine_n, p.alpha))
+        phi = Grid(sample_spec(phi, p.interval, _INVERSION_N, p.alpha))
     s_phi = apply_s(phi, p, phi.fn.n).outputs
     margin = 0.0205 * p.interval.width
-    xs = np.linspace(p.interval.a + margin, p.interval.b - margin, n_check)
+    xs = np.linspace(p.interval.a + margin, p.interval.b - margin,
+                     _INVERSION_POINTS)
     idx = np.rint((xs - p.interval.a) / s_phi.spacing).astype(int)
     dvals = _lattice_apply(s_phi, p, _d_weights, p.sign / p.alpha)[idx]
     target = phi.fn(s_phi.nodes()[idx])
     if p.side == Side.RIGHT:
         target = -target
     residual = float(np.max(np.abs(dvals - target)))
-    return ResidualReport("inversion_ds", p.side, p.alpha, residual, tolerance)
+    return ResidualReport("inversion_ds", p.side, p.alpha, residual,
+                          _INVERSION_TOL)
 
 
 def katr_residual(f: FunctionSpec, p: OperatorParams,
-                  n_check: int = 21, fine_n: int = 2048,
-                  tolerance: float = 1e-3,
                   conv_memo: dict | None = None) -> ResidualReport:
     """Residual of the correction identity for S applied to the
     fractional derivative:
@@ -206,41 +200,39 @@ def katr_residual(f: FunctionSpec, p: OperatorParams,
     split through its absolutely continuous representation: the boundary
     kernel term contributes boundary * (E1*S)(reduced) — evaluated by
     convolution quadrature, not assumed to be 1 — while the J(f') part
-    runs through the grid pipeline.  That convolution depends on p and
-    n_check only: calls that share a conv_memo dict compute it once per
-    (p, n_check) key.
+    runs through the grid pipeline.  That convolution depends on p only:
+    calls that share a conv_memo dict compute it once per p.
     """
-    if not is_bounded(f):
+    if singular_endpoint(f) is not None:
         raise ValueError("correction-identity check needs a bounded input")
-    ac = AcFunction.from_catalog(f, p.interval,
-                                 Side.LEFT if p.side == Side.LEFT else Side.RIGHT)
+    ac = AcFunction.from_catalog(f, p.interval, p.side)
     # S(J f') through the pipeline (derivative sampled onto the lattice)
-    jd = apply_j(Grid(sample_spec(ac.derivative_spec, p.interval, fine_n,
-                                  p.alpha)), p, fine_n)
-    sjd = apply_s(Grid(jd.outputs), p, fine_n)
+    jd = apply_j(Grid(sample_spec(ac.derivative_spec, p.interval, _KATR_N,
+                                  p.alpha)), p, _KATR_N)
+    sjd = apply_s(Grid(jd.outputs), p, _KATR_N)
     lo = p.interval.a + 0.05 * p.interval.width
     hi = p.interval.b - 0.05 * p.interval.width
-    xs = np.linspace(lo, hi, n_check)
+    xs = np.linspace(lo, hi, _KATR_POINTS)
     pipeline = sjd.outputs(xs)
     if ac.boundary_value != 0.0:
         # the boundary kernel term of the derivative turns into the
         # E1*S convolution under S; sign follows the derivative's
-        conv = None if conv_memo is None else conv_memo.get((p, n_check))
+        conv = None if conv_memo is None else conv_memo.get(p)
         if conv is None:
             conv = e1_s_convolution_array(p.reduced(xs), p.acc)
             if conv_memo is not None:
-                conv_memo[(p, n_check)] = conv
+                conv_memo[p] = conv
         pipeline = pipeline + p.sign * ac.boundary_value * conv
     target = eval_spec_array(f, xs, p.interval, p.alpha)
     if p.side == Side.RIGHT:
         target = -target
     residual = float(np.max(np.abs(pipeline - target)))
     return ResidualReport("katr_correction", p.side, p.alpha, residual,
-                          tolerance)
+                          _KATR_TOL)
 
 
 def parts_fractional(phi_f: FunctionSpec, phi_g: FunctionSpec,
-                     p: OperatorParams, fine_n: int = 4096) -> tuple[float, float]:
+                     p: OperatorParams) -> tuple[float, float]:
     """Both sides of the fractional integration-by-parts rule
 
         int f (D_left g) dx  =  - int (D_right f) g dx
@@ -248,29 +240,27 @@ def parts_fractional(phi_f: FunctionSpec, phi_g: FunctionSpec,
     for f the right-side second-kind integral of phi_f and g the left-side
     second-kind integral of phi_g.  Everything is evaluated numerically
     (S on the lattice, D by lattice differences of J, the outer integrals
-    by Simpson); returns the (lhs, rhs) pair.  fine_n must be even.
+    by Simpson); returns the (lhs, rhs) pair.
     """
-    if fine_n % 2:
-        raise ValueError("fine_n must be even for the Simpson weights")
     left_p = OperatorParams(Side.LEFT, p.alpha, p.interval, p.acc)
     right_p = OperatorParams(Side.RIGHT, p.alpha, p.interval, p.acc)
-    f_s = Grid(sample_spec(phi_f, p.interval, fine_n, p.alpha))
-    g_s = Grid(sample_spec(phi_g, p.interval, fine_n, p.alpha))
-    f_grid = apply_s(f_s, right_p, fine_n).outputs
-    g_grid = apply_s(g_s, left_p, fine_n).outputs
+    f_s = Grid(sample_spec(phi_f, p.interval, _PARTS_N, p.alpha))
+    g_s = Grid(sample_spec(phi_g, p.interval, _PARTS_N, p.alpha))
+    f_grid = apply_s(f_s, right_p, _PARTS_N).outputs
+    g_grid = apply_s(g_s, left_p, _PARTS_N).outputs
 
     # derivatives on the evaluation lattice itself: the lattice J values
     # are exact closed-moment integrals of the carriers, so second-order
     # differences (one-sided at the ends) stay O(spacing^2) throughout
     step = f_grid.spacing
-    j_g = apply_j(Grid(g_grid), left_p, fine_n).outputs.values
+    j_g = apply_j(Grid(g_grid), left_p, _PARTS_N).outputs.values
     d_g = np.gradient(j_g, step, edge_order=2)
     lhs_vals = f_grid.values * d_g
-    j_f = apply_j(Grid(f_grid), right_p, fine_n).outputs.values
+    j_f = apply_j(Grid(f_grid), right_p, _PARTS_N).outputs.values
     d_f = np.gradient(j_f, step, edge_order=2)
     rhs_vals = -d_f * g_grid.values
 
-    w = np.full(fine_n + 1, 2.0)
+    w = np.full(_PARTS_N + 1, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     lhs = float(np.sum(w * lhs_vals) * step / 3.0)

@@ -11,11 +11,12 @@ keeps CLI invocations and test fixtures unambiguous:
     grid:<path>
 
 Grid files are CSV x,value rows on a strictly increasing uniform grid.
+The module's _csv_text writes every CSV the package emits.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -43,6 +44,9 @@ class Interval:
     def __post_init__(self) -> None:
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.width):
+            raise ValueError(
+                f"interval requires finite ends and width, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:
@@ -281,11 +285,46 @@ def load_grid_csv(path: str | Path) -> GridFunction:
     return GridFunction(Interval(float(x[0]), float(x[-1])), vs)
 
 
+def _field(value) -> str:
+    """One value as CSV text: a bool as true/false, a number at 15
+    significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.15g}"
+
+
+def _csv_text(header: list[str], columns: list) -> str:
+    """CSV text with "\n" line ends: the header, unless it is empty, then
+    one line per row across the columns, as many as the shortest list
+    column has.  A column is a list of Python values (from numpy arrays
+    through .tolist(), which formats faster) or one value repeated on
+    every row, formatted once into the template.  A list whose first
+    value is a bool is a bool column, mapped to true/false in one pass; a
+    list whose first value is a str is a text column, written as it is.
+    All rows are one %-template applied once to every value in row order:
+    numbers as %.15g, the same text as format's {:.15g}.  Numbers,
+    true/false, the header names and the callers' texts hold no comma,
+    quote or line break, so no field needs CSV quoting."""
+    fields, data = [], []
+    for c in columns:
+        if not isinstance(c, list):
+            fields.append(_field(c))
+        elif c and isinstance(c[0], bool):
+            fields.append("%s")
+            data.append(list(map(("false", "true").__getitem__, c)))
+        else:
+            fields.append("%s" if c and isinstance(c[0], str) else "%.15g")
+            data.append(c)
+    rows = min(map(len, data)) if data else 0
+    body = (",".join(fields) + "\n") * rows % tuple(
+        itertools.chain.from_iterable(zip(*data)))
+    return (",".join(header) + "\n" if header else "") + body
+
+
 def write_grid_csv(path: str | Path, g: GridFunction) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for x, v in zip(g.nodes(), g.values):
-            writer.writerow([f"{x:.15g}", f"{v:.15g}"])
+    """g as x,value rows with "\r\n" line ends and no header."""
+    with open(path, "w", newline="\r\n") as fh:
+        fh.write(_csv_text([], [g.nodes().tolist(), g.values.tolist()]))
 
 
 def eval_spec_array(f: FunctionSpec, x: np.ndarray, ctx: Interval,
@@ -332,10 +371,6 @@ def singular_endpoint(f: FunctionSpec) -> str | None:
     if isinstance(f, E1KernelRight):
         return "b"
     return None
-
-
-def is_bounded(f: FunctionSpec) -> bool:
-    return singular_endpoint(f) is None
 
 
 def catalog_derivative(f: FunctionSpec, ctx: Interval) -> FunctionSpec:

@@ -239,14 +239,6 @@ _hat_cache: OrderedDict = OrderedDict()
 _hat_lock = threading.Lock()
 
 
-def _hat(near: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hat weights W and anchor weights far from the cells' shares near and
-    far."""
-    w = near.copy()
-    w[1:] += far[:-1]
-    return w, far
-
-
 # Lags per power block of _mode_lags, and the entries (modes x blocks) of
 # one chunk of its block scales.  At 2^12 OpenBLAS runs each product on one
 # thread: at 2^14 its default threads made a cold n = 4,096 lattice up to
@@ -293,10 +285,13 @@ def _lattice_moments(head, modes: tuple[np.ndarray, np.ndarray], dz: float,
 
 def _cell_hat(m0: np.ndarray, m1: np.ndarray,
               dz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Hat weights from cell moments about the cells' low ends: far =
-    m1/dz, and near = m0 - far, at least half of m0."""
+    """Hat weights W and anchor weights far from cell moments about the
+    cells' low ends: far = m1/dz, near = m0 - far, at least half of m0,
+    and W_l = near_l + far_(l-1)."""
     far = m1 / dz
-    return _hat(m0 - far, far)
+    w = m0 - far
+    w[1:] += far[:-1]
+    return w, far
 
 
 def _j_weights(dz: float, n: int,

@@ -18,7 +18,6 @@ each sweep is one forward and one inverse real FFT, O(n log n).
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -28,7 +27,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .funcspec import FunctionSpec, GridFunction, Interval, parse_spec, eval_spec_array
+from .funcspec import (FunctionSpec, GridFunction, Interval, _csv_text,
+                       eval_spec_array, parse_spec)
 from .operators import (OperatorParams, Side, _hat_weights, _lattice_apply,
                         _lattice_product, _s_weights)
 from .special import Accuracy, DEFAULT_ACCURACY, s_cumulative
@@ -68,19 +68,22 @@ class RelaxationProblem:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(
                 f"alpha must be positive and finite, got {self.alpha}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(
+                f"lambda must be positive and finite, got {self.lam}")
         if self.grid_n < 16:
             raise ValueError(f"grid_n must be at least 16, got {self.grid_n}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if isinstance(self.rhs, Affine):
-            if self.lipschitz_cf < abs(self.rhs.c):
+            if not math.isfinite(self.rhs.c):
+                raise ValueError(f"c must be finite, got {self.rhs.c}")
+            if not abs(self.rhs.c) <= self.lipschitz_cf < math.inf:
                 raise ValueError(
-                    f"lipschitz_cf={self.lipschitz_cf} is below |c|={abs(self.rhs.c)}"
-                )
+                    f"lipschitz_cf={self.lipschitz_cf} must be finite and at "
+                    f"least |c|={abs(self.rhs.c)}")
         elif self.lipschitz_cf != 0.0:
             raise ValueError("autonomous right-hand sides have lipschitz_cf = 0")
 
@@ -224,6 +227,9 @@ def problem_from_json(path: str | Path) -> RelaxationProblem:
         rhs = Affine(g, float(rhs_doc["c"]))
     else:
         raise ValueError(f"unknown rhs type {kind!r}")
+    for key in ("grid_n", "max_iter"):  # refused, not truncated by int()
+        if isinstance(doc.get(key), float) and not doc[key].is_integer():
+            raise ValueError(f"{key} must be a whole number, got {doc[key]!r}")
     return RelaxationProblem(
         alpha=float(doc["alpha"]),
         lam=float(doc["lambda"]),
@@ -237,11 +243,9 @@ def problem_from_json(path: str | Path) -> RelaxationProblem:
 
 
 def write_solution_csv(path: str | Path, u: GridFunction) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "u"])
-        for t, v in zip(u.nodes(), u.values):
-            w.writerow([f"{t:.15g}", f"{v:.15g}"])
+    """u as a t,u CSV with "\r\n" line ends."""
+    with open(path, "w", newline="\r\n") as fh:
+        fh.write(_csv_text(["t", "u"], [u.nodes().tolist(), u.values.tolist()]))
 
 
 def diagnostics_to_json(d: SolveDiagnostics) -> dict:

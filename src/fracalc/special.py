@@ -72,7 +72,7 @@ class Accuracy:
     """Error budget for an adaptive evaluation.
 
     abs_tol / rel_tol form the target max(abs_tol, rel_tol * |value|);
-    max_work caps panel counts, series lengths and trapezoid nodes.
+    max_work caps panel counts and trapezoid nodes.
     """
 
     abs_tol: float = 1e-10

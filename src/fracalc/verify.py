@@ -11,8 +11,6 @@ fixed seed, made here with numpy alone (_normal_draws), not numpy.random.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -37,6 +35,8 @@ from .funcspec import (
     PowShiftLeft,
     PowShiftRight,
     Sin,
+    _csv_text,
+    catalog_derivative,
     eval_spec_array,
     sample_spec,
 )
@@ -86,15 +86,14 @@ class CheckRow:
 
 
 def rows_to_csv(rows: list[CheckRow]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["check", "side", "alpha", "value", "expected",
-                "tolerance", "pass"])
-    for r in rows:
-        w.writerow([r.check, r.side, f"{r.alpha:.15g}", f"{r.value:.15g}",
-                    f"{r.expected:.15g}", f"{r.tolerance:.15g}",
-                    "true" if r.passed else "false"])
-    return buf.getvalue()
+    """The rows as CSV with "\n" line ends; pass is true/false (a row's
+    passed may be a numpy bool)."""
+    return _csv_text(
+        ["check", "side", "alpha", "value", "expected", "tolerance", "pass"],
+        [[r.check for r in rows], [r.side for r in rows],
+         [r.alpha for r in rows], [r.value for r in rows],
+         [r.expected for r in rows], [r.tolerance for r in rows],
+         [bool(r.passed) for r in rows]])
 
 
 def _diff_row(check: str, side: str, alpha: float, value: float,
@@ -267,28 +266,30 @@ def _parts_rows(alphas, acc: Accuracy) -> list[CheckRow]:
     return rows
 
 
+def _ladder_row(name: str, side: Side, op, fg: GridFunction,
+                ref: np.ndarray, acc: Accuracy) -> CheckRow:
+    """The worst ratio of successive L1 distances of op(fg) from ref along
+    CONVERGENCE_LADDER, held below 0.9."""
+    norms = []
+    for alpha in CONVERGENCE_LADDER:
+        p = OperatorParams(side, alpha, UNIT, acc)
+        values = op(Grid(fg), p, fg.n).outputs.values
+        norms.append(_trapz_norm(values - ref, fg.spacing, 1.0))
+    ratios = [b / a for a, b in zip(norms, norms[1:])]
+    return _below_row(name, side.value, 0.0, max(ratios), 0.9, 0.0)
+
+
 def _approx_identity_rows(acc: Accuracy) -> list[CheckRow]:
     """First-kind convergence to the identity and second-kind convergence
     to the running integral along the fixed alpha ladder."""
     rows = []
-    n = 2000
-    spacing = UNIT.width / n
-    f = Sin(3.0)
-    fg = sample_spec(f, UNIT, n)
+    fg = sample_spec(Sin(3.0), UNIT, 2000)
     for side in (Side.LEFT, Side.RIGHT):
-        ri = running_integral(Grid(fg), UNIT, side, n)
-        j_norms = []
-        s_norms = []
-        for alpha in CONVERGENCE_LADDER:
-            p = OperatorParams(side, alpha, UNIT, acc)
-            jv = apply_j(Grid(fg), p, n).outputs.values
-            sv = apply_s(Grid(fg), p, n).outputs.values
-            j_norms.append(_trapz_norm(jv - fg.values, spacing, 1.0))
-            s_norms.append(_trapz_norm(sv - ri.values, spacing, 1.0))
-        for name, norms in (("approx_identity_j", j_norms),
-                            ("approx_identity_s", s_norms)):
-            ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 1)]
-            rows.append(_below_row(name, side.value, 0.0, max(ratios), 0.9, 0.0))
+        ri = running_integral(Grid(fg), UNIT, side, fg.n)
+        rows.append(_ladder_row("approx_identity_j", side, apply_j, fg,
+                                fg.values, acc))
+        rows.append(_ladder_row("approx_identity_s", side, apply_s, fg,
+                                ri.values, acc))
     return rows
 
 
@@ -395,49 +396,24 @@ def suite_inversion(alphas=None, acc: Accuracy = DEFAULT_ACCURACY) -> list[Check
 # derivatives suite
 # ---------------------------------------------------------------------------
 
-def _poly_double_root() -> Poly:
-    """(x-a)^2 (b-x)^2 on [0, 1] expanded in ascending powers."""
-    quad = np.array([0.0, 0.0, 1.0])  # x^2
-    mirrored = np.array([1.0, -2.0, 1.0])  # (1-x)^2
-    coeffs = np.convolve(quad, mirrored)
-    return Poly(tuple(float(c) for c in coeffs))
-
-
 def _d_ladder_rows(acc: Accuracy) -> list[CheckRow]:
     """Fractional-derivative convergence to the classical derivative.
 
     With zero boundary value the derivative representation reduces to the
-    first-kind integral of f', so the ladder tracks |J f' - f'| in L1.
+    first-kind integral of f', so the ladder tracks |J f' - f'| in L1: for
+    the V-space function x^2 (1 - x)^2, which vanishes with its derivative
+    at both ends, and for the boundary-zero AC functions 1 - cos x (left
+    anchor) and cos x - cos 1 (right anchor).
     """
-    from .funcspec import catalog_derivative
-
+    vspace = catalog_derivative(Poly((0.0, 0.0, 1.0, -2.0, 1.0)), UNIT)
     rows = []
-    n = 2000
-    spacing = UNIT.width / n
-    # V-space function vanishes with its derivative at both ends
-    vpoly = _poly_double_root()
-    for side in (Side.LEFT, Side.RIGHT):
-        dspec = catalog_derivative(vpoly, UNIT)
-        dgrid = sample_spec(dspec, UNIT, n)
-        norms = []
-        for alpha in CONVERGENCE_LADDER:
-            p = OperatorParams(side, alpha, UNIT, acc)
-            dj = apply_j(Grid(dgrid), p, n).outputs.values
-            norms.append(_trapz_norm(dj - dgrid.values, spacing, 1.0))
-        ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 1)]
-        rows.append(_below_row("d_ladder_vspace", side.value, 0.0,
-                               max(ratios), 0.9, 0.0))
-    # boundary-zero AC functions: 1 - cos x (left anchor), cos x - cos 1 (right)
-    for side, dspec in ((Side.LEFT, Sin(1.0)), (Side.RIGHT, Sin(1.0, -1.0))):
-        dgrid = sample_spec(dspec, UNIT, n)
-        norms = []
-        for alpha in CONVERGENCE_LADDER:
-            p = OperatorParams(side, alpha, UNIT, acc)
-            dj = apply_j(Grid(dgrid), p, n).outputs.values
-            norms.append(_trapz_norm(dj - dgrid.values, spacing, 1.0))
-        ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 1)]
-        rows.append(_below_row("d_ladder_boundary_zero", side.value, 0.0,
-                               max(ratios), 0.9, 0.0))
+    for name, side, dspec in (
+            ("d_ladder_vspace", Side.LEFT, vspace),
+            ("d_ladder_vspace", Side.RIGHT, vspace),
+            ("d_ladder_boundary_zero", Side.LEFT, Sin(1.0)),
+            ("d_ladder_boundary_zero", Side.RIGHT, Sin(1.0, -1.0))):
+        dgrid = sample_spec(dspec, UNIT, 2000)
+        rows.append(_ladder_row(name, side, apply_j, dgrid, dgrid.values, acc))
     return rows
 
 

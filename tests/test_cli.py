@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fracalc
-from fracalc import cli
+from fracalc import cli, funcspec
 from fracalc.cli import main
 from fracalc.funcspec import (
     Exp,
@@ -275,10 +275,10 @@ def _csv_text_by_row(header, columns):
     fields, data = [], []
     for c in columns:
         if not isinstance(c, list):
-            fields.append(cli._field(c))
+            fields.append(funcspec._field(c))
         elif c and isinstance(c[0], bool):
             fields.append("%s")
-            data.append([cli._field(v) for v in c])
+            data.append([funcspec._field(v) for v in c])
         else:
             fields.append("%.15g")
             data.append(c)
@@ -319,14 +319,14 @@ class TestCsvText:
     ], ids=["mixed", "ints-specials", "apply-sized", "empty"])
     def test_bytes_match_format(self, columns):
         header = [f"c{i}" for i in range(len(columns))]
-        assert cli._csv_text(header, columns) == _csv_text_by_format(
+        assert funcspec._csv_text(header, columns) == _csv_text_by_format(
             header, columns)
 
     @given(_csv_columns())
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_the_row_templates(self, columns):
         header = [f"c{i}" for i in range(len(columns))]
-        assert cli._csv_text(header, columns) == _csv_text_by_row(
+        assert funcspec._csv_text(header, columns) == _csv_text_by_row(
             header, columns)
 
 
@@ -467,6 +467,51 @@ class TestRelax:
         assert code == 2
         assert out == ""
         assert err.startswith("relax failed: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("entries", [
+        '"rhs": {"type": "affine", "g": "const:1", "c": "nan"}',
+        '"lambda": Infinity',
+        '"rhs": {"type": "affine", "g": "const:1", "c": 0.1}, '
+        '"lipschitz_cf": Infinity',
+        '"tol": Infinity',
+        '"grid_n": 64.9',
+        '"grid_n": Infinity',
+        '"max_iter": 2.5',
+        '"alpha": null',
+    ], ids=["c-nan", "lambda-inf", "cf-inf", "tol-inf", "grid_n-fraction",
+            "grid_n-inf", "max_iter-fraction", "alpha-null"])
+    def test_bad_problem_value_exits_2(self, entries, tmp_path, capsys):
+        # each used to run: u = 0 after 0 sweeps with kappa NaN or inf, a
+        # converged first sweep, a truncated grid_n or max_iter; or to end
+        # in a traceback
+        ppath = tmp_path / "p.json"
+        ppath.write_text('{"alpha": 0.25, "lambda": 0.5, "rhs": {"type": '
+                         '"autonomous", "g": "sin:1"}, "grid_n": 64, '
+                         + entries + "}")
+        code, out, err = run_main(["relax", "--problem", str(ppath)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"bad problem document {ppath}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestInterval:
+    @pytest.mark.parametrize("interval", ["0,inf", "-inf,0", "-1e308,1e308"])
+    @pytest.mark.parametrize("argv", [
+        ["apply", "--op", "j", "--side", "left", "--alpha", "0.5",
+         "--spec", "sin:1", "--n-out", "8"],
+        ["sweep", "--spec", "sin:1", "--alpha-list", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_infinite_interval_exits_2(self, argv, interval, capsys,
+                                       recwarn):
+        # apply used to print five RuntimeWarnings, then "apply failed:
+        # e1_array requires strictly positive arguments"
+        code, out, err = run_main(argv + [f"--interval={interval}"], capsys)
+        assert [str(w.message) for w in recwarn] == []
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"invalid interval {interval!r}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
@@ -835,6 +880,28 @@ class TestOptionTable:
             [sys.executable, "-c",
              f"import sys, fracalc.cli; print([fracalc.cli.main(a) for a in "
              f"{argvs!r}], [m for m in sys.modules if m.startswith('numpy.random')])"],
+            capture_output=True, text=True, env=_child_env("4096"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+    def test_commands_import_no_csv(self, tmp_path):
+        # funcspec._csv_text writes every CSV; the csv module is not needed
+        problem = (Path(__file__).resolve().parents[1] / "scripts"
+                   / "sample_problem.json")
+        write_grid_csv(tmp_path / "g.csv",
+                       sample_spec(Sin(3.0), Interval(0.0, 1.0), 64))
+        argvs = [
+            ["verify", "--suite", "all", "--out", str(tmp_path / "v.csv")],
+            ["relax", "--problem", str(problem), "--out",
+             str(tmp_path / "u.csv"), "--diagnostics", str(tmp_path / "d.json")],
+            ["apply", "--op", "s", "--side", "left", "--alpha", "0.5",
+             "--spec", f"grid:{tmp_path / 'g.csv'}", "--interval", "0,1",
+             "--n-out", "64", "--out", str(tmp_path / "a.csv")],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, fracalc.cli; print([fracalc.cli.main(a) for a in "
+             f"{argvs!r}], sorted({{'csv', '_csv'}} & set(sys.modules)))"],
             capture_output=True, text=True, env=_child_env("4096"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -67,11 +67,6 @@ class TestAcRepresentation:
         expect = -e1_array((1.0 - xs) / 0.5) / 0.5
         assert np.max(np.abs(rep.outputs.values - expect)) < 1e-9
 
-    def test_endpoint_guard(self):
-        ac = AcFunction.from_catalog(Const(1.0), UNIT)
-        with pytest.raises(ValueError):
-            d_frac_ac(ac, left(0.5), 16, include_endpoint=True)
-
     def test_validation_rejects_wrong_derivative(self):
         bad = AcFunction(Sin(1.0), Cos(2.0), 0.0)
         with pytest.raises(ValueError):
