@@ -33,6 +33,8 @@ from .operators import (
     OperatorParams,
     OperatorReport,
     Side,
+    apply_d,
+    apply_d_at,
     apply_j,
     apply_s,
     running_integral,
@@ -67,9 +69,9 @@ __all__ = [
     "integrate_semi_infinite", "laplace",
     "FunctionSpec", "GridFunction", "Interval", "ParseError", "parse_spec",
     "render_spec", "sample_spec",
-    "OperatorParams", "OperatorReport", "Side", "apply_j", "apply_s",
-    "running_integral", "j_closed_constant", "j_closed_monomial",
-    "j_closed_powshift", "j_closed_e1kernel",
+    "OperatorParams", "OperatorReport", "Side", "apply_d", "apply_d_at",
+    "apply_j", "apply_s", "running_integral", "j_closed_constant",
+    "j_closed_monomial", "j_closed_powshift", "j_closed_e1kernel",
     "AcFunction", "d_frac_ac", "d_frac_numeric", "check_inversion_ds",
     "katr_residual", "parts_fractional",
     "Affine", "Autonomous", "RelaxationProblem", "SolveDiagnostics",

@@ -37,7 +37,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import verify
-from .derivatives import AcFunction, d_frac_ac, d_frac_numeric
 from .funcspec import (
     FunctionSpec,
     Grid,
@@ -51,6 +50,7 @@ from .funcspec import (
 from .operators import (
     OperatorParams,
     Side,
+    apply_d,
     apply_j,
     apply_s,
     running_integral,
@@ -144,17 +144,9 @@ def _cmd_apply(args: SimpleNamespace) -> int:
         raise SystemExit(f"n-out must be at least 2, got {args.n_out}")
     interval = _parse_interval(args.interval)
     spec = _parse_spec_arg(args.spec)
-    side = Side(args.side)
-    p = OperatorParams(side, args.alpha, interval, acc)
-    if args.op == "j":
-        report = apply_j(spec, p, args.n_out)
-    elif args.op == "s":
-        report = apply_s(spec, p, args.n_out)
-    elif isinstance(spec, Grid):
-        report = d_frac_numeric(spec.fn, p, args.n_out)
-    else:
-        ac = AcFunction.from_catalog(spec, interval, side)
-        report = d_frac_ac(ac, p, args.n_out)
+    p = OperatorParams(Side(args.side), args.alpha, interval, acc)
+    apply = {"j": apply_j, "s": apply_s, "d": apply_d}[args.op]
+    report = apply(spec, p, args.n_out)
     out = report.outputs
     columns = [out.nodes().tolist(), out.values.tolist(),
                report.per_point_converged.tolist(), report.worst_err_estimate]

@@ -1,24 +1,21 @@
-"""Fractional derivatives: d/dx of the first-kind integral.
+"""Fractional derivatives: d/dx of the first-kind integral, and the
+identities that tie them to the integral operators.
 
-  * d_frac_ac      — for absolutely continuous catalog inputs, the
-                     representation boundary_value * E1(reduced)/alpha
-                     + J(f'), with J(f') by adaptive quadrature;
-  * d_frac_numeric — for a grid input, taken as its piecewise-linear
-                     carrier, the carrier's closed derivative at the
-                     output nodes of d_frac_ac: when they lie on the
-                     grid's lattice, a subsample of the lattice engine
-                     that J and S use, with the derivative's cached hat
-                     weights;
-  * d_frac_at      — the same derivative at arbitrary points.
+The derivative itself is the third operator of the operators module,
+apply_d / apply_d_at, beside J and S and through the same body.  The
+functions here keep their names as thin wrappers over it:
 
-The carrier is absolutely continuous, so its derivative is the same
-representation with the cell slopes for f':
-+/-[g(anchor) E1(reduced)/alpha + sum_j slope_j m0_j], m0 the E1 moments
-of the cells (see the operators module).  No derivative is a difference
-quotient; verify keeps one, of J itself, as the independent check.  The
-module also packages the inversion and correction identities as runnable
-residual checks (sup-norm over interior points), each returned as a
-ResidualReport.
+  * d_frac_ac      — apply_d of an absolutely continuous catalog input
+                     (an AcFunction: a spec, its catalog derivative and
+                     its value at the anchor);
+  * d_frac_numeric — apply_d of a grid input, taken as its
+                     piecewise-linear carrier;
+  * d_frac_at      — the carrier's derivative at arbitrary points.
+
+No derivative is a difference quotient; verify keeps one, of J itself, as
+the independent check.  The module also packages the inversion and
+correction identities as runnable residual checks (sup-norm over interior
+points), each returned as a ResidualReport.
 """
 
 from __future__ import annotations
@@ -41,22 +38,18 @@ from .operators import (
     OperatorParams,
     OperatorReport,
     Side,
-    _E1,
-    _anchor_term,
-    _carrier_err,
     _d_weights,
     _lattice_apply,
-    _mode_history,
+    apply_d,
+    apply_d_at,
     apply_j,
-    apply_j_at,
     apply_s,
 )
 from .special import e1_s_convolution_array
 
-# The checks' fixed settings: validate's relative tolerance, the check
-# points, lattice intervals and pass tolerance of the two residual checks,
-# and parts_fractional's lattice intervals (even, for Simpson's weights).
-_VALIDATE_TOL = 1e-6
+# The checks' fixed settings: the check points, lattice intervals and pass
+# tolerance of the two residual checks, and parts_fractional's lattice
+# intervals (even, for Simpson's weights).
 _INVERSION_POINTS, _INVERSION_N, _INVERSION_TOL = 25, 8192, 1e-3
 _KATR_POINTS, _KATR_N, _KATR_TOL = 21, 2048, 1e-3
 _PARTS_N = 4096
@@ -78,19 +71,6 @@ class AcFunction:
         anchor = interval.a if side == Side.LEFT else interval.b
         return cls(f, d, float(eval_spec_array(f, anchor, interval)))
 
-    def validate(self, interval: Interval, alpha: float = 1.0) -> None:
-        """Finite-difference check that derivative_spec differentiates spec."""
-        h = interval.width * 1e-7
-        xs = interval.a + interval.width * np.linspace(0.15, 0.85, 5)
-        fd = (eval_spec_array(self.spec, xs + h, interval, alpha)
-              - eval_spec_array(self.spec, xs - h, interval, alpha)) / (2 * h)
-        dv = eval_spec_array(self.derivative_spec, xs, interval, alpha)
-        worst = float(np.max(np.abs(fd - dv)))
-        if worst > _VALIDATE_TOL * max(1.0, float(np.max(np.abs(dv)))):
-            raise ValueError(
-                f"derivative_spec does not differentiate spec (fd gap {worst:.2e})"
-            )
-
 
 @dataclass
 class ResidualReport:
@@ -105,60 +85,22 @@ class ResidualReport:
         return self.residual < self.tolerance
 
 
-def _interior_nodes(p: OperatorParams, n_out: int) -> np.ndarray:
-    """Uniform grid with the side's singular endpoint excluded."""
-    full = np.linspace(p.interval.a, p.interval.b, n_out + 2)
-    return full[1:] if p.side == Side.LEFT else full[:-1]
-
-
 def d_frac_ac(f: AcFunction, p: OperatorParams, n_out: int) -> OperatorReport:
-    """Fractional derivative of an absolutely continuous function:
-
-        left:  f(a) E1((x-a)/alpha)/alpha + (J_left  f')(x)
-        right: -f(b) E1((b-x)/alpha)/alpha + (J_right f')(x)
-
-    The kernel term blows up at the anchor endpoint whenever the boundary
-    value is nonzero, so the output grid excludes that endpoint.
-    """
-    if n_out < 2:
-        raise ValueError(f"n_out must be at least 2, got {n_out}")
-    f.validate(p.interval, p.alpha)
-    xs = _interior_nodes(p, n_out)
-    vals, conv, errs = apply_j_at(f.derivative_spec, p, xs)
-    if f.boundary_value != 0.0:
-        vals = vals + _anchor_term(f.boundary_value, p, xs)
-    return OperatorReport(GridFunction(Interval(float(xs[0]), float(xs[-1])),
-                                       vals), conv, float(np.max(errs)))
+    """apply_d of f.spec, which takes f' and f(anchor) from the spec."""
+    return apply_d(f.spec, p, n_out)
 
 
 def d_frac_numeric(g: GridFunction, p: OperatorParams,
                    n_out: int) -> OperatorReport:
-    """Derivative of the carrier of g at the nodes d_frac_ac uses: every
-    step-th value of the lattice engine when those nodes lie on g's
-    lattice (g on the operator interval, step = g.n/(n_out + 1) whole),
-    else d_frac_at at them."""
-    if n_out < 2:
-        raise ValueError(f"n_out must be at least 2, got {n_out}")
-    xs = _interior_nodes(p, n_out)
-    step, off = divmod(g.n, n_out + 1)
-    if g.interval == p.interval and off == 0:
-        vals = _lattice_apply(g, p, _d_weights, p.sign / p.alpha)
-        vals = vals[step::step] if p.side == Side.LEFT else vals[:-1:step]
-    else:
-        vals = d_frac_at(g, p, xs)
-    return OperatorReport(GridFunction(Interval(float(xs[0]), float(xs[-1])),
-                                       vals),
-                          np.ones(xs.size, dtype=bool), _carrier_err(g))
+    """apply_d of the carrier of g, at the nodes d_frac_ac uses."""
+    return apply_d(Grid(g), p, n_out)
 
 
 def d_frac_at(g: GridFunction, p: OperatorParams,
               xs: np.ndarray) -> np.ndarray:
-    """Derivative of the carrier of g at arbitrary points; the grid must
-    cover the operator interval."""
-    xs = np.asarray(xs, dtype=float)
-    anchor = p.interval.a if p.side == Side.LEFT else p.interval.b
-    return (p.sign * _mode_history(g, p, xs, _E1, of_slopes=True)
-            + _anchor_term(float(g(anchor)), p, xs))
+    """Derivative of the carrier of g at arbitrary points (apply_d_at's
+    values); the grid must cover the operator interval."""
+    return apply_d_at(Grid(g), p, xs)[0]
 
 
 def check_inversion_ds(phi: FunctionSpec, p: OperatorParams) -> ResidualReport:

@@ -275,7 +275,8 @@ def load_grid_csv(path: str | Path) -> GridFunction:
         rows = [r for i, r in enumerate(rows) if i not in skip]
     if len(rows) < 3:
         raise ValueError(f"grid file {path} needs at least 3 rows")
-    x, vs = np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2).T
+    x, vs = np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2,
+                       comments=None).T
     dx = np.diff(x)
     if np.any(dx <= 0.0):
         raise ValueError(f"grid file {path} must have strictly increasing x")

@@ -1,4 +1,5 @@
-"""The four fractional integral operators plus closed-form references.
+"""The fractional operators J, S and D, the plain running integral, and
+closed-form references.
 
 apply_j / apply_s evaluate the first-kind (E1 kernel) and second-kind
 (S kernel) integrals of a catalog function on a uniform output grid,
@@ -6,6 +7,10 @@ after the substitution z = (x - t)/alpha:
 
     (J f)(x) = int_0^Z E1(z) f(x -/+ alpha z) dz
     (S f)(x) = alpha int_0^Z S(z) f(x -/+ alpha z) dz,   Z = reduced x
+
+apply_d evaluates the derivative D = d/dx J, as +/-f(anchor) E1(Z)/alpha
++ J(f'), through the same body (see _d_analytic and _d_grid); its output
+grid leaves out the side's anchor, where D blows up unless f(anchor) = 0.
 
 Analytic inputs run through the adaptive engine with the kernel's log
 singularity declared, as one batch over all output points: one integrand
@@ -18,10 +23,10 @@ Grid inputs are integrated exactly
 (piecewise-linear carrier against exact kernel cell moments, each about
 its cell's low end), which keeps the L^p norm inequalities honest at
 machine precision.  On the input's own lattice, or a sub-lattice of it,
-J, S and the derivative D = d/dx J (the derivatives module) each run as
-one Toeplitz convolution against their own hat-function weights, a
-zero-padded real-FFT product in O(n log n) whose weight spectrum is
-cached per lattice, so a warm apply evaluates no kernel.  The weights of
+J, S and D each run as one Toeplitz convolution against their own
+hat-function weights, a zero-padded real-FFT product in O(n log n) whose
+weight spectrum is cached per lattice, so a warm apply evaluates no
+kernel.  The weights of
 J, S and D past the first cell are sums over the kernel's exponential
 modes (special.e1_modes, special.s_modes), by shifted power blocks.  At
 other points J, S and D integrate over [a, x]
@@ -50,6 +55,7 @@ from .funcspec import (
     Grid,
     GridFunction,
     Interval,
+    catalog_derivative,
     eval_spec_array,
     singular_endpoint,
 )
@@ -90,6 +96,11 @@ class OperatorParams:
     def sign(self) -> float:
         """+1 on the left side, -1 on the right."""
         return 1.0 if self.side == Side.LEFT else -1.0
+
+    @property
+    def anchor(self) -> float:
+        """The side's end of the interval: a on the left, b on the right."""
+        return self.interval.a if self.side == Side.LEFT else self.interval.b
 
     def reduced(self, x) -> np.ndarray:
         """Kernel argument Z: (x-a)/alpha on the left, (b-x)/alpha right."""
@@ -449,8 +460,7 @@ def _mode_history(g: GridFunction, p: OperatorParams, xs: np.ndarray,
     n, alpha = g.n, p.alpha
     dz = g.spacing / alpha
     u = p.sign * (t - t[0])
-    anchor = p.interval.a if p.side == Side.LEFT else p.interval.b
-    ua = p.sign * (anchor - t[0])
+    ua = p.sign * (p.anchor - t[0])
     ca = int(np.clip(np.searchsorted(u, ua, "right") - 1, 0, n - 1))
 
     on = np.flatnonzero(p.reduced(xs) > 0.0)
@@ -505,15 +515,36 @@ def _mode_history(g: GridFunction, p: OperatorParams, xs: np.ndarray,
     return vals
 
 
-# The derivative D = d/dx J of the carrier is closed: with g(anchor) its
-# value at the side's anchor and m0 the E1 moments of the oriented cells,
-#     D g(x) = +/-[g(anchor) E1(r)/alpha + sum_j slope_j m0_j(x)],
-# r the reduced coordinate of x; 0 where r <= 0, as J is.  On the lattice
-# it is _lattice_apply with _d_weights and scale +/-1/alpha.
+# The derivative D = d/dx J of an absolutely continuous f is
+#     D f(x) = +/-[f(anchor) E1(r)/alpha] + (J f')(x),
+# r the reduced coordinate of x; 0 where r <= 0, as J is.  For a catalog
+# input J f' runs through J's adaptive batch.  For the carrier of a grid
+# input f' is the step function of its cell slopes, so D is closed: with
+# m0 the E1 moments of the oriented cells,
+#     D g(x) = +/-[g(anchor) E1(r)/alpha + sum_j slope_j m0_j(x)].
+# On the lattice it is _lattice_apply with _d_weights and scale +/-1/alpha.
 
 def _anchor_term(value: float, p: OperatorParams, xs) -> np.ndarray:
     """+/- value E1(r)/alpha, the anchor's term of the derivative."""
     return _closed(p, xs, lambda x, r, e: p.sign * value * (e / p.alpha))
+
+
+def _d_analytic(f: FunctionSpec, p: OperatorParams,
+                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J of f's catalog derivative, plus the anchor's term unless f is 0
+    at the anchor."""
+    vals, conv, errs = _j_analytic(catalog_derivative(f, p.interval), p, xs)
+    value = float(eval_spec_array(f, p.anchor, p.interval))
+    if value != 0.0:
+        vals = vals + _anchor_term(value, p, xs)
+    return vals, conv, errs
+
+
+def _d_grid(g: GridFunction, p: OperatorParams, xs: np.ndarray) -> np.ndarray:
+    """The closed derivative of the carrier of g: its slopes' E1 history
+    plus the anchor's term of its value there."""
+    return (p.sign * _mode_history(g, p, xs, _E1, of_slopes=True)
+            + _anchor_term(float(g(p.anchor)), p, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -526,22 +557,22 @@ def _carrier_err(g: GridFunction) -> float:
 
 
 def _at(f: FunctionSpec, p: OperatorParams, xs: np.ndarray, analytic: Callable,
-        kernel: tuple, scale: float
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Body of apply_j_at/apply_s_at: for a grid input, scale times the
-    kernel's _mode_history of its carrier; else one adaptive batch over
-    the points."""
+        grid: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Body of apply_j_at/apply_s_at/apply_d_at: for a grid input,
+    grid(g, p, xs) of its carrier g; else one adaptive batch over the
+    points."""
     xs = np.asarray(xs, dtype=float)
     if not isinstance(f, Grid):
         return analytic(f, p, xs)
-    return (scale * _mode_history(f.fn, p, xs, kernel),
-            np.ones_like(xs, dtype=bool), np.full_like(xs, _carrier_err(f.fn)))
+    return (grid(f.fn, p, xs), np.ones_like(xs, dtype=bool),
+            np.full_like(xs, _carrier_err(f.fn)))
 
 
 def _apply(f: FunctionSpec, p: OperatorParams, n_out: int, at: Callable,
            weights: Callable, scale: float) -> OperatorReport:
-    """Body of apply_j/apply_s: the lattice engine when the output grid
-    is a sub-lattice of a grid input's, else `at` at the output nodes."""
+    """Body of apply_j/apply_s/apply_d: the lattice engine when the output
+    grid is a sub-lattice of a grid input's, else `at` at the output
+    nodes."""
     if n_out < 2:
         raise ValueError(f"n_out must be at least 2, got {n_out}")
     g = f.fn if isinstance(f, Grid) else None
@@ -560,7 +591,8 @@ def apply_j_at(f: FunctionSpec, p: OperatorParams,
                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First-kind integral at arbitrary points; returns (values,
     converged flags, error estimates)."""
-    return _at(f, p, xs, _j_analytic, _E1, 1.0)
+    return _at(f, p, xs, _j_analytic,
+               lambda g, p, xs: _mode_history(g, p, xs, _E1))
 
 
 def apply_j(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
@@ -572,12 +604,37 @@ def apply_s_at(f: FunctionSpec, p: OperatorParams,
                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Second-kind integral at arbitrary points; returns (values,
     converged flags, error estimates)."""
-    return _at(f, p, xs, _s_analytic, _S, p.alpha)
+    return _at(f, p, xs, _s_analytic,
+               lambda g, p, xs: p.alpha * _mode_history(g, p, xs, _S))
 
 
 def apply_s(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
     """Second-kind fractional integral on a uniform grid of n_out intervals."""
     return _apply(f, p, n_out, apply_s_at, _s_weights, p.alpha)
+
+
+def apply_d_at(f: FunctionSpec, p: OperatorParams,
+               xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fractional derivative D = d/dx J at arbitrary points; returns
+    (values, converged flags, error estimates)."""
+    return _at(f, p, xs, _d_analytic, _d_grid)
+
+
+def apply_d(f: FunctionSpec, p: OperatorParams, n_out: int) -> OperatorReport:
+    """Fractional derivative on a uniform grid of n_out intervals: the
+    grid of n_out + 1 intervals on the operator interval less its node at
+    the side's anchor, where D blows up unless f(anchor) = 0.  A grid input
+    on the operator interval runs on its lattice when n_out + 1 divides its
+    intervals."""
+    if n_out < 2:
+        raise ValueError(f"n_out must be at least 2, got {n_out}")
+    rep = _apply(f, p, n_out + 1, apply_d_at, _d_weights, p.sign / p.alpha)
+    keep = slice(1, None) if p.side == Side.LEFT else slice(None, -1)
+    xs = rep.outputs.nodes()[keep]
+    return OperatorReport(
+        GridFunction(Interval(float(xs[0]), float(xs[-1])),
+                     rep.outputs.values[keep]),
+        rep.per_point_converged[keep], rep.worst_err_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +729,7 @@ def j_closed_monomial(n: int, p: OperatorParams, x):
 def j_closed_powshift(n: int, p: OperatorParams, x):
     """First-kind integral of (t-a)^n (left) or (b-t)^n (right); both
     sides carry (-alpha)^k because the shifted base tracks the kernel."""
-    anchor = p.interval.a if p.side == Side.LEFT else p.interval.b
-    return _power_closed(n, p, x, lambda x: p.sign * (x - anchor), -p.alpha)
+    return _power_closed(n, p, x, lambda x: p.sign * (x - p.anchor), -p.alpha)
 
 
 def j_closed_e1kernel(p: OperatorParams, x):

@@ -18,9 +18,7 @@ import numpy as np
 
 from . import quadrature
 from .derivatives import (
-    AcFunction,
     check_inversion_ds,
-    d_frac_ac,
     katr_residual,
     parts_fractional,
 )
@@ -43,6 +41,7 @@ from .funcspec import (
 from .operators import (
     OperatorParams,
     Side,
+    apply_d,
     apply_j,
     apply_j_at,
     apply_s,
@@ -423,8 +422,7 @@ def suite_derivatives(alphas=None, acc: Accuracy = DEFAULT_ACCURACY) -> list[Che
     for alpha in alphas:
         p = OperatorParams(Side.LEFT, alpha, UNIT, acc)
         # representation for a constant: the kernel term alone
-        ac = AcFunction.from_catalog(Const(2.0), UNIT)
-        rep = d_frac_ac(ac, p, 16)
+        rep = apply_d(Const(2.0), p, 16)
         xs = rep.outputs.nodes()
         expect = 2.0 * e1_array((xs - UNIT.a) / alpha) / alpha
         rows.append(_diff_row("tyyr_constant", "left", alpha,

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracalc.derivatives import (
     AcFunction,
@@ -18,12 +19,16 @@ from fracalc.derivatives import (
 from fracalc.funcspec import (
     Const,
     Cos,
+    Exp,
     Grid,
     GridFunction,
     Interval,
     Poly,
     PowShiftLeft,
+    PowShiftRight,
     Sin,
+    catalog_derivative,
+    eval_spec_array,
     sample_spec,
 )
 from fracalc.operators import OperatorParams, Side, apply_j, j_closed_constant
@@ -67,11 +72,6 @@ class TestAcRepresentation:
         expect = -e1_array((1.0 - xs) / 0.5) / 0.5
         assert np.max(np.abs(rep.outputs.values - expect)) < 1e-9
 
-    def test_validation_rejects_wrong_derivative(self):
-        bad = AcFunction(Sin(1.0), Cos(2.0), 0.0)
-        with pytest.raises(ValueError):
-            bad.validate(UNIT)
-
     def test_ac_and_numeric_routes_agree(self):
         # zero boundary value: both derivative routes must coincide
         p = left(0.4)
@@ -111,6 +111,62 @@ class TestAcRepresentation:
         assert np.all(rep.per_point_converged)
         assert np.max(np.abs(rep.outputs.values
                              - np.cos(rep.outputs.nodes()))) < 1e-9
+
+
+_COEFF = st.floats(-10.0, 10.0)
+_FREQ = st.floats(0.1, 20.0)
+
+# one strategy per catalog family with a derivative
+_AC_SPECS = st.one_of(
+    st.builds(Const, _COEFF),
+    st.builds(lambda c: Poly(tuple(c)), st.lists(_COEFF, min_size=1,
+                                                 max_size=5)),
+    st.builds(PowShiftLeft, st.integers(0, 6)),
+    st.builds(PowShiftRight, st.integers(0, 6)),
+    st.builds(Sin, _FREQ, _COEFF),
+    st.builds(Cos, _FREQ, _COEFF),
+    st.builds(Exp, st.floats(-5.0, 5.0), _COEFF),
+)
+
+
+class TestCatalogDerivativeProperty:
+    """What apply_d takes from a catalog input, its catalog derivative and
+    its value at the side's anchor, for every family with random
+    parameters, intervals and sides."""
+
+    @given(f=_AC_SPECS, a=st.floats(-2.0, 2.0), width=st.floats(0.1, 3.0),
+           side=st.sampled_from(Side))
+    @settings(max_examples=300, deadline=None)
+    def test_derivative_and_anchor_value(self, f, a, width, side):
+        iv = Interval(a, a + width)
+        p = OperatorParams(side, 1.0, iv)
+        d = catalog_derivative(f, iv)
+
+        def ev(spec, x):
+            return eval_spec_array(spec, x, iv)
+
+        # central differences at interior points; the bound covers the
+        # rounding of f's values over 2h and the O(h^2) truncation
+        xs = iv.a + width * np.linspace(0.15, 0.85, 5)
+        h = 1e-6 * width
+        fd = (ev(f, xs + h) - ev(f, xs - h)) / (2.0 * h)
+        dv = ev(d, xs)
+        scale = 1.0 + np.max(np.abs(dv)) + np.max(np.abs(ev(f, xs))) / width
+        assert np.max(np.abs(fd - dv)) <= 1e-6 * scale
+        # the anchor is the side's end, and f there with the derivative
+        # gives f at the other end: f(far) = f(anchor) +/- int f'
+        anchor, far = (iv.a, iv.b) if side == Side.LEFT else (iv.b, iv.a)
+        assert p.anchor == anchor
+        f_anchor, f_far = float(ev(f, anchor)), float(ev(f, far))
+        t, w = np.polynomial.legendre.leggauss(64)
+        d_nodes = ev(d, iv.a + 0.5 * width * (t + 1.0))
+        integral = 0.5 * width * np.sum(w * d_nodes)
+        recovered = f_anchor + (integral if side == Side.LEFT else -integral)
+        assert abs(recovered - f_far) <= 1e-9 * (
+            1.0 + abs(f_far) + abs(f_anchor) + width * np.max(np.abs(d_nodes)))
+        # the public AC representation holds the same two
+        assert AcFunction.from_catalog(f, iv, side) == AcFunction(f, d,
+                                                                  f_anchor)
 
 
 class TestNumericRoute:

@@ -1,6 +1,7 @@
 """Grammar round trips, evaluation semantics, and grid-file handling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,7 +228,8 @@ def _load_grid_csv_reference(path):
                 if line.split(",", 1)[0].strip().lower() not in ("x", "")]
     if len(rows) < 3:
         raise ValueError(f"grid file {path} needs at least 3 rows")
-    x, vs = np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2).T
+    x, vs = np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2,
+                       comments=None).T
     dx = np.diff(x)
     if np.any(dx <= 0.0):
         raise ValueError(f"grid file {path} must have strictly increasing x")
@@ -291,6 +293,21 @@ class TestGridCsvReader:
         g = load_grid_csv(path)
         assert g.interval == ref.interval
         assert np.array_equal(g.values, ref.values)
+
+    @pytest.mark.parametrize("text", ["0,1\n#c,2\n#d,3\n",
+                                      "0,1\n0.5,2\n#c,9\n1,3\n1.5,4\n"],
+                             ids=["three-rows", "one-of-five"])
+    def test_hash_row_is_malformed(self, tmp_path, text):
+        # "#" starts no comment: the row fails to parse, with no warning,
+        # rather than vanishing after the row count (a file of one data
+        # row then failed in the spacing check) or silently
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="could not convert string "
+                               "'#c' to float64"):
+                load_grid_csv(path)
 
     def test_written_file_reads_back(self, tmp_path):
         # write_grid_csv ends its rows in \r\n

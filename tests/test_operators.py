@@ -27,6 +27,7 @@ from fracalc.operators import (
     _lattice_apply,
     _oriented,
     _s_weights,
+    apply_d,
     apply_j,
     apply_j_at,
     apply_s,
@@ -610,6 +611,34 @@ class TestLatticeFFT:
              if values == "normal" else np.ones(n + 1))
         jv = apply_j(Grid(GridFunction(UNIT, v)), left(0.05), n).outputs.values
         assert np.max(np.abs(jv)) <= np.max(np.abs(v)) * (1.0 + 1e-12)
+
+
+class TestGridMatchesAnalyticForLinear:
+    @pytest.mark.parametrize("op", [apply_j, apply_s, apply_d],
+                             ids=["j", "s", "d"])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT],
+                             ids=["left", "right"])
+    def test_within_the_analytic_estimate(self, op, side):
+        # a function of degree <= 1 is its own carrier, so the exact grid
+        # route and the adaptive analytic route compute the same values:
+        # they must agree within the analytic error estimate, or the
+        # accuracy target where that estimate is 0 (J of D's zero slope)
+        n_out = 16
+        n = n_out + (op is apply_d)  # D's output grid has one interval more
+        iv = Interval(-1.0, 2.0)
+        for f in (Const(1.5), Poly((0.3, -2.0)), Poly((0.0, 1.0))):
+            for alpha in (0.01, 0.4, 5.0, 1e3):
+                p = OperatorParams(side, alpha, iv)
+                analytic = op(f, p, n_out)
+                floor = p.acc.abs_tol + p.acc.rel_tol * np.max(
+                    np.abs(analytic.outputs.values))
+                for grid_n in (n, 3 * n, 37):  # on and off the lattice
+                    grid = op(Grid(sample_spec(f, iv, grid_n)), p, n_out)
+                    assert grid.outputs.interval == analytic.outputs.interval
+                    gap = np.max(np.abs(grid.outputs.values
+                                        - analytic.outputs.values))
+                    assert gap <= max(analytic.worst_err_estimate, floor), (
+                        f, alpha, grid_n)
 
 
 class TestRunningIntegral:
