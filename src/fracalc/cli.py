@@ -21,9 +21,12 @@ without importing argparse.
 Exit codes: 0 success, 2 argument/validation errors, 3 failed checks.
 Numbers are printed with 15 significant digits; output is deterministic.
 The environment variable FRACALC_MAX_WORK overrides the default work
-budget (quadrature panels, trapezoid nodes); every command exits 2, with
-"<command> failed: ..." on stderr ("kernel evaluation failed: ..." for
-kernel), when a kernel evaluation would exceed it or an operator rejects
+budget, the panel cap of each adaptive integral: apply of a catalog
+function and verify's adaptive checks.  An integral that reaches it prints
+converged=false, or fails its check; the fixed rules of the kernels and of
+grid inputs ignore it.  Every command exits 2 on a malformed value (not an
+integer, or below 8), and with "<command> failed: ..." on stderr ("kernel
+evaluation failed: ..." for kernel) when an operator or a kernel rejects
 its input.
 """
 
@@ -120,13 +123,12 @@ def _parse_spec_arg(text: str) -> FunctionSpec:
 
 
 def _cmd_kernel(args: SimpleNamespace) -> int:
-    acc = default_accuracy()
     points = _parse_floats(args.points, "points")
     fns = {
         "e1": e1_array,
-        "s": lambda x: volterra_s_array(x, acc),
-        "q": lambda x: s_moments(0.0, x, 0, acc)[0],
-        "p": lambda x: [p_regularized(args.s, v, acc) for v in x.tolist()],
+        "s": volterra_s_array,
+        "q": lambda x: s_moments(0.0, x, 0)[0],
+        "p": lambda x: [p_regularized(args.s, v) for v in x.tolist()],
     }
     try:
         values = np.asarray(fns[args.which](np.array(points))).tolist()
@@ -137,14 +139,13 @@ def _cmd_kernel(args: SimpleNamespace) -> int:
 
 
 def _cmd_apply(args: SimpleNamespace) -> int:
-    acc = default_accuracy()
     if args.alpha <= 0.0:
         raise SystemExit(f"alpha must be positive, got {args.alpha}")
     if args.n_out < 2:
         raise SystemExit(f"n-out must be at least 2, got {args.n_out}")
     interval = _parse_interval(args.interval)
     spec = _parse_spec_arg(args.spec)
-    p = OperatorParams(Side(args.side), args.alpha, interval, acc)
+    p = OperatorParams(Side(args.side), args.alpha, interval, args.acc)
     apply = {"j": apply_j, "s": apply_s, "d": apply_d}[args.op]
     report = apply(spec, p, args.n_out)
     out = report.outputs
@@ -156,15 +157,13 @@ def _cmd_apply(args: SimpleNamespace) -> int:
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
-    acc = default_accuracy()
     alphas = _parse_floats(args.alpha_list, "alpha") if args.alpha_list else None
-    rows = verify.run_suite(args.suite, alphas, acc)
+    rows = verify.run_suite(args.suite, alphas, args.acc)
     _emit(verify.rows_to_csv(rows), args.out)
     return 3 if any(not r.passed for r in rows) else 0
 
 
 def _cmd_sweep(args: SimpleNamespace) -> int:
-    acc = default_accuracy()
     alphas = _parse_floats(args.alpha_list, "alpha")
     if any(a <= 0.0 for a in alphas):
         raise SystemExit("alpha values must be positive")
@@ -177,7 +176,7 @@ def _cmd_sweep(args: SimpleNamespace) -> int:
     ri = running_integral(g, interval, side, g.fn.n)
     j_dist, s_dist = [], []
     for alpha in alphas:
-        p = OperatorParams(side, alpha, interval, acc)
+        p = OperatorParams(side, alpha, interval)
         jv = apply_j(g, p, g.fn.n).outputs.values
         sv = apply_s(g, p, g.fn.n).outputs.values
         j_dist.append(float(np.trapezoid(np.abs(jv - g.fn.values),
@@ -189,7 +188,6 @@ def _cmd_sweep(args: SimpleNamespace) -> int:
 
 
 def _cmd_relax(args: SimpleNamespace) -> int:
-    acc = default_accuracy()
     try:
         prob = problem_from_json(args.problem)
     except FileNotFoundError:
@@ -206,7 +204,7 @@ def _cmd_relax(args: SimpleNamespace) -> int:
         u0 = GridFunction(TIME_DOMAIN, np.full(prob.grid_n + 1, c))
     else:
         raise SystemExit(f"u0 must be 'zero' or 'const:<c>', got {args.u0!r}")
-    u, diag = solve_picard(prob, u0, acc)
+    u, diag = solve_picard(prob, u0)
     _emit(_csv_text(["t", "u"], [u.nodes().tolist(), u.values.tolist()]),
           args.out)
     diag_text = json.dumps(diagnostics_to_json(diag), indent=2) + "\n"
@@ -322,6 +320,7 @@ def parse_args(argv: list[str]):
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        args.acc = default_accuracy()  # a malformed value fails every command
         return args.func(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
@@ -329,8 +328,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         raise
     except (RuntimeError, ValueError) as exc:
-        # a kernel evaluation exceeded the work budget, or an operator
-        # rejected its input (a grid that does not cover its interval)
+        # an operator or a kernel rejected its input (a grid that does not
+        # cover its interval, a point past a kernel's domain)
         sys.stderr.write(f"{args.command} failed: {exc}\n")
         return 2
 

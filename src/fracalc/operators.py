@@ -82,6 +82,10 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class OperatorParams:
+    """Side, alpha and interval of an operator.  acc reaches the adaptive
+    batch of catalog inputs only: grid inputs are integrated exactly, by
+    fixed rules that ignore it."""
+
     side: Side
     alpha: float
     interval: Interval
@@ -305,24 +309,21 @@ def _cell_hat(m0: np.ndarray, m1: np.ndarray,
     return w, far
 
 
-def _j_weights(dz: float, n: int,
-               acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """J's weights (no acc): E1's closed head cell and its modes."""
+def _j_weights(dz: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """J's weights: E1's closed head cell and its modes."""
     return _cell_hat(*_lattice_moments(e1_moments(dz, 1), e1_modes(dz), dz, n),
                      dz)
 
 
-def _s_weights(dz: float, n: int,
-               acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
+def _s_weights(dz: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """S's weights (the alpha factor is the apply's scale): the head cell
     from s_moments and S's modes, whose first, a = 0, is its constant 1."""
-    return _cell_hat(*_lattice_moments(s_moments(0.0, dz, 1, acc),
-                                       s_modes(dz, acc), dz, n), dz)
+    return _cell_hat(*_lattice_moments(s_moments(0.0, dz, 1), s_modes(dz),
+                                       dz, n), dz)
 
 
-def _d_weights(dz: float, n: int,
-               acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """The derivative's weights (no acc).  Cell j adds slope_j m0_j =
+def _d_weights(dz: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The derivative's weights.  Cell j adds slope_j m0_j =
     (v_(j+1) - v_j) m0_j/(alpha dz), so with the +/-1/alpha factor left to
     the apply's scale, W_0 = m0_0/dz and W_L = (m0_L - m0_(L-1))/dz by node,
     and the anchor's value adds E1(z_i) - m0_(i-1)/dz at node i.  Past the
@@ -341,21 +342,21 @@ def _d_weights(dz: float, n: int,
     return w, far
 
 
-def _hat_weights(weights: Callable, dz: float, n: int,
-                 acc: Accuracy) -> tuple[np.ndarray, np.ndarray, float]:
+def _hat_weights(weights: Callable, dz: float,
+                 n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """The spectrum rfft(W, _fft_size(n)) of one operator's hat weights on
-    one lattice, weights(dz, n, acc) = (W, far), its anchor weights far and
+    one lattice, weights(dz, n) = (W, far), its anchor weights far and
     its lag-0 weight W_0, the diagonal of the lattice map, cached read-only
     and evicted least recently used first: sweeps and the Picard loop apply
     J, S and D on the same few lattices many times, and a warm apply then
     costs one rfft and one irfft."""
-    key = (weights, dz, n, acc)
+    key = (weights, dz, n)
     with _hat_lock:
         hit = _hat_cache.get(key)
         if hit is not None:
             _hat_cache.move_to_end(key)
             return hit
-    w, far = weights(dz, n, acc)
+    w, far = weights(dz, n)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(far))):
         raise ValueError(f"hat weights are not finite at lattice step "
                          f"{dz:.6g} in the reduced coordinate")
@@ -378,7 +379,7 @@ def _lattice_apply(g: GridFunction, p: OperatorParams, weights: Callable,
     """scale times the integral (or derivative) at every node of g's own
     lattice, where the cell terms depend only on the lag: _lattice_product
     with the operator's cached hat weights, O(n log n) at every n."""
-    spectrum, far, _ = _hat_weights(weights, g.spacing / p.alpha, g.n, p.acc)
+    spectrum, far, _ = _hat_weights(weights, g.spacing / p.alpha, g.n)
     return _lattice_product(g.values, spectrum, far, scale, p.side)
 
 
@@ -418,26 +419,23 @@ _NEAR_CELLS = 2
 _MODE_ENTRIES = 2 ** 14
 
 
-def _e1_near_moments(lo: np.ndarray, width: np.ndarray,
-                     acc: Accuracy) -> np.ndarray:
+def _e1_near_moments(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
     """E1 moments m0, m1 of the cells [lo, lo + width] about lo, as
-    differences of special.e1_moments (no acc): near x, where lo is a few
+    differences of special.e1_moments: near x, where lo is a few
     cells at most, they lose no more than a few bits."""
     c = e1_moments(np.stack([lo + width, lo]), 1)
     m0 = c[0, 0] - c[0, 1]
     return np.stack([m0, c[1, 0] - c[1, 1] - lo * m0])
 
 
-def _s_near_moments(lo: np.ndarray, width: np.ndarray,
-                    acc: Accuracy) -> np.ndarray:
+def _s_near_moments(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
     """S moments m0, m1 of the cells [lo, lo + width] about lo."""
-    m0, m1 = s_moments(lo, width, 1, acc)
+    m0, m1 = s_moments(lo, width, 1)
     return np.stack([m0, m1 - lo * m0])
 
 
-# (modes(z_min, acc), near_moments) of each kernel; J's and D's mode rule
-# counts against no work budget, as no other E1 quantity does
-_E1 = (lambda z_min, acc: e1_modes(z_min), _e1_near_moments)
+# (modes(z_min), near_moments) of each kernel
+_E1 = (e1_modes, _e1_near_moments)
 _S = (s_modes, _s_near_moments)
 
 
@@ -470,7 +468,7 @@ def _mode_history(g: GridFunction, p: OperatorParams, xs: np.ndarray,
     k = np.clip(np.searchsorted(u, ux, "right") - 1, 0, n - 1)
     last = np.maximum(k - _NEAR_CELLS, ca)  # the history's last node
 
-    a, c = modes(_NEAR_CELLS * dz, p.acc)
+    a, c = modes(_NEAR_CELLS * dz)
     h0, h1 = exp_moments(a, (u[ca + 1] - ua) / alpha, 1)
     hist = h0 * end[ca] - alpha * h1 * slope[ca]  # H at node ca + 1
     at = ca + 1
@@ -494,7 +492,7 @@ def _mode_history(g: GridFunction, p: OperatorParams, xs: np.ndarray,
         bot = np.maximum(u[jc], ua)
         full = (top == u[jc + 1]) & (bot == u[jc])
         width = np.where(j >= lc, np.where(full, dz, (top - bot) / alpha), 0.0)
-        m0, m1 = near_moments((x - top) / alpha, width, p.acc)
+        m0, m1 = near_moments((x - top) / alpha, width)
         f_top = end[jc] - slope[jc] * (u[jc + 1] - top)
         out = np.sum(f_top * m0 - alpha * slope[jc] * m1, axis=0)
         # the history at each point's last node, in order of the points

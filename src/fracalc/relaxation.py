@@ -31,7 +31,7 @@ from .funcspec import (FunctionSpec, GridFunction, Interval, _csv_text,
                        eval_spec_array, parse_spec)
 from .operators import (OperatorParams, Side, _hat_weights, _lattice_apply,
                         _lattice_product, _s_weights)
-from .special import Accuracy, DEFAULT_ACCURACY, s_cumulative
+from .special import s_cumulative
 
 TIME_DOMAIN = Interval(0.0, 1.0)
 
@@ -115,30 +115,28 @@ class SolveDiagnostics:
     contraction_warning: bool = False
 
 
-def contraction_constant(alpha: float, lam: float, cf: float,
-                         acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def contraction_constant(alpha: float, lam: float, cf: float) -> float:
     """kappa = alpha (lambda + cf) Q(1/alpha); contraction when < 1."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if lam < 0.0 or cf < 0.0:
         raise ValueError("lambda and cf must be nonnegative")
-    return alpha * (lam + cf) * _kernel_mass(alpha, acc)
+    return alpha * (lam + cf) * _kernel_mass(alpha)
 
 
 @functools.lru_cache(maxsize=64)
-def _kernel_mass(alpha: float, acc: Accuracy) -> float:
+def _kernel_mass(alpha: float) -> float:
     """Q(1/alpha), once per alpha: every solve_picard needs it for kappa."""
-    return s_cumulative(1.0 / alpha, acc)
+    return s_cumulative(1.0 / alpha)
 
 
-def apply_t(h: GridFunction, alpha: float,
-            acc: Accuracy = DEFAULT_ACCURACY) -> GridFunction:
+def apply_t(h: GridFunction, alpha: float) -> GridFunction:
     """The solution operator T: left second-kind integral on [0, 1],
     pinned to 0 at t = 0, on h's own lattice (apply_s's lattice engine,
     without its report)."""
     if h.interval != TIME_DOMAIN:
         raise ValueError("apply_t expects a grid on [0, 1]")
-    p = OperatorParams(Side.LEFT, alpha, TIME_DOMAIN, acc)
+    p = OperatorParams(Side.LEFT, alpha, TIME_DOMAIN)
     return GridFunction(TIME_DOMAIN, _lattice_apply(h, p, _s_weights, alpha))
 
 
@@ -149,9 +147,8 @@ def apply_t(h: GridFunction, alpha: float,
 _DIVERGENCE_GROWTH = 2.0 ** 52
 
 
-def solve_picard(prob: RelaxationProblem, u0: GridFunction,
-                 acc: Accuracy = DEFAULT_ACCURACY
-                 ) -> tuple[GridFunction, SolveDiagnostics]:
+def solve_picard(prob: RelaxationProblem,
+                 u0: GridFunction) -> tuple[GridFunction, SolveDiagnostics]:
     """Picard iteration u_{n+1} = T(-lambda u_n + f(., u_n)) from u0.
 
     Stops when the sup change drops below prob.tol; if kappa >= 1 the
@@ -162,20 +159,20 @@ def solve_picard(prob: RelaxationProblem, u0: GridFunction,
     change before it, and returns that last iterate, unconverged; an
     iterate that overflows first ends the run at the last finite one.
     The diagnostics report rho, the spectral radius of one sweep on the
-    lattice, next to kappa (see SolveDiagnostics).  acc reaches every
-    kernel evaluation (kappa and each T); a kernel that exceeds its work
-    budget raises RuntimeError.
+    lattice, next to kappa (see SolveDiagnostics).  Every kernel it
+    evaluates (Q for kappa, T's lattice weights) is a fixed rule, so no
+    work budget applies.
     """
     if u0.interval != TIME_DOMAIN or u0.n != prob.grid_n:
         raise ValueError(
             f"u0 must live on [0, 1] with grid_n={prob.grid_n} intervals"
         )
-    kappa = contraction_constant(prob.alpha, prob.lam, prob.lipschitz_cf, acc)
+    kappa = contraction_constant(prob.alpha, prob.lam, prob.lipschitz_cf)
     warning = kappa >= 1.0
     rhs = prob.rhs_at(u0.nodes())
     # T's hat weights, looked up once: every sweep is one lattice product
     spectrum, far, w0 = _hat_weights(_s_weights, u0.spacing / prob.alpha,
-                                     prob.grid_n, acc)
+                                     prob.grid_n)
     mu = prob.lam - (prob.rhs.c if isinstance(prob.rhs, Affine) else 0.0)
     rho = abs(mu) * prob.alpha * w0
     u = u0.values.copy()

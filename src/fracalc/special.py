@@ -72,7 +72,9 @@ class Accuracy:
     """Error budget for an adaptive evaluation.
 
     abs_tol / rel_tol form the target max(abs_tol, rel_tol * |value|);
-    max_work caps panel counts and trapezoid nodes.
+    max_work caps the panels of each adaptive integral (integrate_batch).
+    The fixed rules (E1, S, their moments and modes) take no Accuracy:
+    their node counts follow from their arguments alone.
     """
 
     abs_tol: float = 1e-10
@@ -377,7 +379,7 @@ def log_gamma_array(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def p_regularized(s: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def p_regularized(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s).
 
     Uses the all-positive-term series for x < s + 1 and the upper-gamma
@@ -389,12 +391,10 @@ def p_regularized(s: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float
         raise ValueError(f"p_regularized requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    return float(p_regularized_array(np.asarray([s]), x, acc)[0])
+    return float(p_regularized_array(np.asarray([s]), x)[0])
 
 
-def p_regularized_array(
-    s: np.ndarray, x: float, acc: Accuracy = DEFAULT_ACCURACY
-) -> np.ndarray:
+def p_regularized_array(s: np.ndarray, x: float) -> np.ndarray:
     """P(s, x) for an array of s > 0 at a common x >= 0."""
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0):
@@ -490,26 +490,6 @@ def _v_count(v_hi: float) -> int:
     return int((max(v_hi, _V_LO) - _V_LO) / _V_STEP) + 2
 
 
-def _v_budget(v_hi: float, acc: Accuracy) -> int:
-    """_v_count(v_hi); raises RuntimeError when that is more nodes than
-    acc.max_work."""
-    count = _v_count(v_hi)
-    if count > acc.max_work:
-        raise RuntimeError(
-            f"trapezoid rule on [{_V_LO}, {v_hi:.6g}] needs {count} nodes, "
-            f"more than the work budget of {acc.max_work}"
-        )
-    return count
-
-
-def _v_nodes(v_hi: float, acc: Accuracy) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid nodes v on [_V_LO, v_hi] and the weights h/(v^2 + pi^2).
-
-    Raises RuntimeError when the rule needs more nodes than acc.max_work.
-    """
-    return _v_grid(_v_budget(v_hi, acc))
-
-
 def _v_grid(count: int) -> tuple[np.ndarray, np.ndarray]:
     """The first count trapezoid nodes v from _V_LO and the weights
     h/(v^2 + pi^2)."""
@@ -535,8 +515,7 @@ def _fold_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the fold's coefficients (-1)^k P_k[J]/k!, k <= _FOLD_ORDER, by J:
     with P_k[J] = sum_(j<J) w_j e^((k+1) v_j), a prefix sum of positive
     terms, the nodes j < J add sum_k (-x)^k/k! P_k[J] to S(x) e^x - 1."""
-    v, w = _v_nodes(math.log(50.0 / 1e-12) + _FOLD_GROUP * _V_STEP,
-                    DEFAULT_ACCURACY)
+    v, w = _v_grid(_v_count(math.log(50.0 / 1e-12) + _FOLD_GROUP * _V_STEP))
     k = np.arange(_FOLD_ORDER + 1)
     prefix = np.zeros((k.size, v.size + 1))
     np.cumsum(w * np.exp(np.outer(k + 1, v)), axis=1, out=prefix[:, 1:])
@@ -566,7 +545,7 @@ def _sigma_prime_over_a(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, u * u, u) / ((1.0 + u) ** 3)
 
 
-def volterra_s(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def volterra_s(x: float) -> float:
     """The second-kind kernel S(x) = exp(-x) int_0^inf x^(s-1)/Gamma(s) ds.
 
     Valid for x > 0 and evaluated by volterra_s_array.  Evaluation is only
@@ -580,10 +559,10 @@ def volterra_s(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
             f"volterra_s is restricted to x >= 1e-12 (got {x}); "
             "route near-zero integrals through s_moments"
         )
-    return float(volterra_s_array(np.array([x]), acc)[0])
+    return float(volterra_s_array(np.array([x]))[0])
 
 
-def volterra_s_array(x: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray:
+def volterra_s_array(x: np.ndarray) -> np.ndarray:
     """Vectorized S over x >= 1e-12:
 
         S(x) = 1 + exp(-x) h sum_v exp(-x e^v) e^v/(v^2 + pi^2)
@@ -593,8 +572,7 @@ def volterra_s_array(x: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndar
     as its Taylor sum, so together they add sum_k x^k _FOLD_COEF[k, J],
     one polynomial in x per point (see _fold_table).  Only the nodes from
     its bucket's first exact node J up to ln(50/x), _FOLD_EXACT of them,
-    take an exp, and the points of one bucket share them.  The work
-    budget counts the whole rule, _v_count(ln(50/x_min)) nodes.
+    take an exp, and the points of one bucket share them.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 1e-12):  # NaN too
@@ -605,7 +583,6 @@ def volterra_s_array(x: np.ndarray, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndar
     if todo.size == 0:
         return out.reshape(x.shape)
     xs = flat[todo]
-    _v_budget(math.log(50.0 / xs.min()), acc)
     # the first node with x e^v > tau, rounded down to its bucket's
     first = np.floor((np.log(_FOLD_TAU / xs) - _V_LO) / _V_STEP).astype(
         np.intp) + 1
@@ -641,7 +618,7 @@ def _cell_terms(b: np.ndarray, v: np.ndarray, w: np.ndarray, k: int,
             zip((_sigma, _sigma_prime, _sigma_prime_over_a), gammas)]
 
 
-def s_moments(lo, width, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray:
+def s_moments(lo, width, k: int) -> np.ndarray:
     """The moments int_lo^(lo + width) t^j S(t) dt, j = 0..k (k <= 2), of
     cells lo >= 0, width >= 0 (arrays, broadcast), as the k + 1 rows of an
     array of their shape.
@@ -680,7 +657,7 @@ def s_moments(lo, width, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray
     # matrix of terms, in chunks of at most _S_ENTRIES entries
     groups: dict = {}
     for i in heads.tolist():
-        key = (_v_budget(40.0 - ln_d[i], acc),
+        key = (_v_count(40.0 - ln_d[i]),
                _v_count(math.log(40.0) - ln_d[i]))
         groups.setdefault(key, []).append(i)
     for (count, cut), members in groups.items():
@@ -699,7 +676,7 @@ def s_moments(lo, width, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> np.ndarray
         # sum_v c_v e^(-a_v lo) int_0^d y^i e^(-a_v y) dy over S's modes
         # past its constant one (the polynomial part), all terms positive;
         # the cells of one width share their columns c int_0^d y^i e^(-a y)
-        a, c = (m[1:] for m in s_modes(float(lo[body].min()), acc))
+        a, c = (m[1:] for m in s_modes(float(lo[body].min())))
         body = body[np.argsort(d[body], kind="stable")]
         per = max(1, _S_ENTRIES // a.size)
         for cells in np.split(body, np.flatnonzero(np.diff(d[body])) + 1):
@@ -728,20 +705,19 @@ def e1_modes(z_min: float) -> tuple[np.ndarray, np.ndarray]:
     (the sum being the trapezoid rule of E1 = int sigma(v) e^(-z a) dv,
     a = 1 + e^v, c = h sigma(v)), on the nodes of the S rule from -40 to
     ln(50/z_min).  A fixed rule, like e1_array's: its node count follows
-    from z_min and counts against no work budget.  Raises ValueError for
-    z_min below 1e-300, where the top rates overflow."""
+    from z_min alone.  Raises ValueError for z_min below 1e-300, where the
+    top rates overflow."""
     v, _ = _v_grid(_v_count(_v_top(z_min, "e1_modes")))
     return 1.0 + np.exp(v), _V_STEP * _sigma(v)
 
 
-def s_modes(z_min: float,
-            acc: Accuracy = DEFAULT_ACCURACY) -> tuple[np.ndarray, np.ndarray]:
+def s_modes(z_min: float) -> tuple[np.ndarray, np.ndarray]:
     """Rates a and weights c with S(z) = sum c e^(-a z) for z >= z_min:
     the mode a = 0, c = 1 first (S's constant 1), then the nodes of
     volterra_s_array's sum, a = 1 + e^v, c = h e^v/(v^2 + pi^2), on
-    [-40, ln(50/z_min)].  Raises RuntimeError when that is more nodes than
-    acc.max_work, and ValueError for z_min below 1e-300."""
-    v, w = _v_nodes(_v_top(z_min, "s_modes"), acc)
+    [-40, ln(50/z_min)].  A fixed rule, as e1_modes is.  Raises ValueError
+    for z_min below 1e-300."""
+    v, w = _v_grid(_v_count(_v_top(z_min, "s_modes")))
     ev = np.exp(v)
     return np.concatenate([[0.0], 1.0 + ev]), np.concatenate([[1.0], w * ev])
 
@@ -768,14 +744,14 @@ def exp_moments(a: np.ndarray, width: float, k: int) -> np.ndarray:
     return out
 
 
-def s_cumulative(X: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def s_cumulative(X: float) -> float:
     """Q(X) = int_0^X S(t) dt, X >= 0: row 0 of the head [0, X]."""
-    return float(s_moments(0.0, X, 0, acc)[0])
+    return float(s_moments(0.0, X, 0)[0])
 
 
-def s_first_moment(delta: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def s_first_moment(delta: float) -> float:
     """int_0^delta t S(t) dt, delta >= 0: row 1 of the head [0, delta]."""
-    return float(s_moments(0.0, delta, 1, acc)[1])
+    return float(s_moments(0.0, delta, 1)[1])
 
 
 def s_weighted_batch(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -788,9 +764,13 @@ def s_weighted_batch(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     [0, delta_i] phi is taken as the quadratic through its values at 0,
     delta_i/2 and delta_i, integrated against Q and the first two moments
     of S; the quadratic's change from the chord through 0 and delta_i
-    bounds the head's error.  The body (delta_i, b_i), where b_i > delta_i,
-    is one adaptive batch under marker.  Returns arrays, one entry per
-    integral; converged reports the body (true where there is none).
+    bounds the head's error.  Where delta_i^2 is below the smallest normal
+    double (delta_i < 1.5e-154) the moments cannot carry the quadratic, so
+    phi is taken as its value at 0 and the quadratic's largest change on
+    the head bounds the error.  The body (delta_i, b_i), where b_i >
+    delta_i, is one adaptive batch under marker.  Returns arrays, one entry
+    per integral; converged reports the body (true where there is none).
+    Raises ValueError where a value or an error estimate is not finite.
     """
     from .quadrature import QuadResult, integrate_batch  # layering one-way
 
@@ -800,22 +780,29 @@ def s_weighted_batch(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     g0, gm, gd = phi(np.concatenate([0.0 * delta, 0.5 * delta, delta]),
                      np.tile(np.arange(m), 3)).reshape(3, m)
     heads, inverse = np.unique(delta, return_inverse=True)
-    q_head, m1_head, m2_head = s_moments(0.0, heads, 2, acc)[:, inverse]
-    # delta^2 underflows for delta < 1e-154: NaN, which the body's
-    # domain check or the caller's finiteness check rejects
+    q_head, m1_head, m2_head = s_moments(0.0, heads, 2)[:, inverse]
+    # phi = g0 + (gd - g0 - c) u + c u^2 on the head, u = z/delta
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        curv = 2.0 * (g0 - 2.0 * gm + gd) / (delta * delta)
+        c = 2.0 * (g0 - 2.0 * gm + gd)
+        curv = c / (delta * delta)
         slope = (gd - g0) / delta - curv * delta
         value = g0 * q_head + slope * m1_head + curv * m2_head
         err = np.abs(curv) * (delta * m1_head - m2_head)
+        flat = delta * delta < np.finfo(float).tiny
+        value[flat] = (g0 * q_head)[flat]
+        err[flat] = ((np.abs(gd - g0 - c) + np.abs(c)) * q_head)[flat]
     panels, conv = np.zeros(m, dtype=int), np.ones(m, dtype=bool)
     body = np.nonzero(b > delta)[0]
     res = integrate_batch(
-        lambda z, owner: volterra_s_array(z, acc) * phi(z, body[owner]),
+        lambda z, owner: volterra_s_array(z) * phi(z, body[owner]),
         delta[body], b[body], marker, acc)
     value[body] += res.value
     err[body] += res.err_estimate
     panels[body], conv[body] = res.panels_used, res.converged
+    bad = np.flatnonzero(~(np.isfinite(value) & np.isfinite(err)))
+    if bad.size:
+        raise ValueError(f"the integral against S over [0, {b[bad[0]]:.6g}] "
+                         f"is not finite")
     return QuadResult(value, err, panels, conv)
 
 

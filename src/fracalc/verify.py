@@ -219,7 +219,7 @@ def _norm_bound_rows(alphas, acc: Accuracy) -> list[CheckRow]:
             p = OperatorParams(side, alpha, UNIT, acc)
             worst_j = {1.0: 0.0, 2.0: 0.0, math.inf: 0.0}
             worst_s = 0.0
-            s_bound = alpha * s_cumulative(UNIT.width / alpha, acc)
+            s_bound = alpha * s_cumulative(UNIT.width / alpha)
             for g in grids:
                 jv = apply_j(Grid(g), p, n).outputs.values
                 sv = apply_s(Grid(g), p, n).outputs.values
@@ -292,10 +292,10 @@ def _approx_identity_rows(acc: Accuracy) -> list[CheckRow]:
     return rows
 
 
-def _aux_bound_rows(acc: Accuracy) -> list[CheckRow]:
+def _aux_bound_rows() -> list[CheckRow]:
     rows = []
     for alpha in (1.0, 0.5, 0.1, 0.02, 0.005):
-        val = alpha * s_cumulative(1.0 / alpha, acc)
+        val = alpha * s_cumulative(1.0 / alpha)
         rows.append(_below_row("aux_bounded", "-", alpha, val,
                                AUX_LEDGE_BOUND, 0.0))
     return rows
@@ -331,7 +331,7 @@ def suite_integrals(alphas=None, acc: Accuracy = DEFAULT_ACCURACY) -> list[Check
     rows.extend(_norm_bound_rows(alphas, acc))
     rows.extend(_parts_rows(alphas, acc))
     rows.extend(_approx_identity_rows(acc))
-    rows.extend(_aux_bound_rows(acc))
+    rows.extend(_aux_bound_rows())
     rows.extend(_semigroup_rows(acc))
     return rows
 

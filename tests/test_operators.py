@@ -39,7 +39,6 @@ from fracalc.operators import (
     running_integral,
 )
 from fracalc.special import (
-    DEFAULT_ACCURACY,
     e1,
     e1_array,
     s_cumulative,
@@ -464,8 +463,7 @@ class TestApplyS:
     @pytest.mark.parametrize("alpha", [1e-3, 0.5, 1e4])
     def test_one_ulp_right_of_node(self, alpha):
         # a cell 1e-16 wide beside the node: a head on one side, a sliver
-        # with lo ~ 1e-16/alpha on the other; both fit the default budget,
-        # and S f is continuous there
+        # with lo ~ 1e-16/alpha on the other, and S f is continuous there
         g = sample_spec(Sin(3.0), UNIT, 100)
         node = g.nodes()[37]
         xs = np.array([node, np.nextafter(node, 2.0)])
@@ -475,31 +473,44 @@ class TestApplyS:
             assert np.all(np.isfinite(vals))
             assert abs(vals[1] - vals[0]) <= 1e-12 * max(1.0, abs(vals[0]))
 
+    @pytest.mark.parametrize("x", [1e-300, 5e-324])
+    def test_beside_the_anchor(self, x):
+        # the head's delta^2 underflows below delta = 1.5e-154, where S f
+        # used to be NaN flagged converged (analytic, 1e-300) or raise a
+        # work-budget error (both routes, 5e-324); |S f(x)| <= alpha Q(x /
+        # alpha) max |f| on [0, x] <= x here
+        p = OperatorParams(Side.LEFT, 0.5, UNIT)
+        for f in (Sin(1.0), Grid(sample_spec(Sin(1.0), UNIT, 100))):
+            vals, conv, errs = apply_s_at(f, p, [x, 0.5])
+            assert np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))
+            assert np.all(conv)
+            assert abs(vals[0]) <= x
+            assert vals[1] == apply_s_at(f, p, [0.5])[0][0]
+
     def test_moment_cache_is_bounded(self, monkeypatch):
         builds = []
 
-        def weights(dz, n, acc):
+        def weights(dz, n):
             builds.append(dz)
-            return _s_weights(dz, n, acc)
+            return _s_weights(dz, n)
 
         _hat_cache.clear()
         size = operators._HAT_ENTRIES
         assert size >= 16
         for k in range(size + 3):
-            spectrum, far, _ = _hat_weights(weights, 0.5 + k, 2,
-                                            DEFAULT_ACCURACY)
+            spectrum, far, _ = _hat_weights(weights, 0.5 + k, 2)
         for cached in (spectrum, far):
             with pytest.raises(ValueError):
                 cached[0] = 0.0  # callers share the cached arrays
         assert len(_hat_cache) == size
-        _hat_weights(weights, 0.5, 2, DEFAULT_ACCURACY)  # evicted
+        _hat_weights(weights, 0.5, 2)  # evicted
         assert len(builds) == size + 4
         # the bytes are bounded too: at most 64 MiB, and at a bound of
         # three entries' worth the oldest go first
         assert operators._HAT_BYTES <= 64 * 2 ** 20
         entry = spectrum.nbytes + far.nbytes
         monkeypatch.setattr(operators, "_HAT_BYTES", 3 * entry)
-        _hat_weights(weights, 100.5, 2, DEFAULT_ACCURACY)
+        _hat_weights(weights, 100.5, 2)
         assert sum(s.nbytes + f.nbytes
                    for s, f, _ in _hat_cache.values()) <= 3 * entry
         assert [key[1] for key in _hat_cache] == [0.5 + size + 2, 0.5, 100.5]
@@ -529,17 +540,17 @@ class TestApplyS:
         assert np.all(np.isfinite(d_frac_numeric(g, p, 255).outputs.values))
 
 
-def _e1_cell_moments(dz, n, acc):
+def _e1_cell_moments(dz, n):
     """E1 moments m0, m1 of the cells [k dz, (k+1) dz], k < n, about
     their low ends, as the J lattice takes them."""
     return operators._lattice_moments(special.e1_moments(dz, 1),
                                       special.e1_modes(dz), dz, n)
 
 
-def _s_cell_moments(dz, n, acc):
+def _s_cell_moments(dz, n):
     """S moments m0, m1 of the cells [k dz, (k+1) dz], k < n, about
     their low ends."""
-    m0, m1 = s_moments(dz * np.arange(n), dz, 1, acc)
+    m0, m1 = s_moments(dz * np.arange(n), dz, 1)
     return m0, m1 - dz * np.arange(n) * m0
 
 
@@ -547,7 +558,7 @@ def _direct_lattice(g, p, cell_moments, scale):
     """The aligned apply by a direct np.convolve of the same oriented cell
     terms, and the sum of the terms' absolute values at each node."""
     dz = g.spacing / p.alpha
-    m0, m1 = cell_moments(dz, g.n, p.acc)
+    m0, m1 = cell_moments(dz, g.n)
     _, v, slopes = _oriented(g, p.side)
     a, b = v[:-1], p.alpha * slopes
     w = dz * m0 - m1
@@ -565,7 +576,7 @@ def _direct_derivative(g, p):
     np.convolve of the oriented slopes with the E1 cell moments plus the
     anchor's E1 term, and the sum of the terms' absolute values."""
     dz = g.spacing / p.alpha
-    m0, _ = _e1_cell_moments(dz, g.n, p.acc)
+    m0, _ = _e1_cell_moments(dz, g.n)
     _, v, slopes = _oriented(g, p.side)
     anchor = v[0] * e1_array(dz * np.arange(1, g.n + 1)) / p.alpha
     ref, mag = np.zeros(g.n + 1), np.zeros(g.n + 1)

@@ -13,7 +13,6 @@ from fracalc.special import (
     ZETA2,
     e1,
     _lower_gammas,
-    _v_count,
     e1_array,
     e1_moments,
     e1_s_convolution,
@@ -450,24 +449,23 @@ class TestCumulative:
         assert np.all(r.converged) and np.all(r.panels_used > 0)
         assert np.max(np.abs(r.value - s_cumulative(0.5))) < 1e-12
 
-    @pytest.mark.parametrize("fn", [
-        lambda acc: volterra_s_array(np.array([0.5]), acc),
-        lambda acc: s_cumulative(0.5, acc),
-        lambda acc: s_first_moment(0.5, acc),
-        lambda acc: s_moments(0.1 * np.arange(1, 4), 0.1, 1, acc),
-        lambda acc: s_moments(0.0, 0.5, 2, acc),
-    ])
-    def test_work_budget_enforced(self, fn):
-        with pytest.raises(RuntimeError, match="work budget"):
-            fn(Accuracy(max_work=8))
+    def test_weighted_batch_heads_below_delta_squared(self):
+        # delta^2 underflows below delta = 1.5e-154: phi is its value at 0
+        # there, and the quadratic's largest change bounds the error
+        from fracalc.quadrature import Singularity
+        delta = np.array([1e-300, 5e-324])
+        r = s_weighted_batch(lambda z, i: 2.0 + np.sin(z), delta, delta,
+                             Singularity.LOG_LEFT)
+        q = [s_cumulative(d) for d in delta]
+        assert np.array_equal(r.value, 2.0 * np.array(q))
+        assert np.all(np.isfinite(r.err_estimate))
+        assert np.all(r.err_estimate <= 2.0 * delta * np.array(q))
 
-    @pytest.mark.parametrize("x", [1e-12, 1e-3, 1.0])
-    def test_s_work_budget_threshold(self, x):
-        # the budget counts every node of the rule, folded ones too
-        c = _v_count(math.log(50.0 / x))
-        with pytest.raises(RuntimeError, match="work budget"):
-            volterra_s_array(np.array([x]), Accuracy(max_work=c - 1))
-        assert volterra_s_array(np.array([x]), Accuracy(max_work=c))[0] > 1.0
+    def test_weighted_batch_raises_where_not_finite(self):
+        from fracalc.quadrature import Singularity
+        with pytest.raises(ValueError, match="not finite"):
+            s_weighted_batch(lambda z, i: np.where(z > 0.0, 1.0, np.inf),
+                             np.array([1e-3]), 0.5, Singularity.LOG_LEFT)
 
 
 class TestIndependentSpotChecks:
